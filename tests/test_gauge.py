@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -193,3 +195,79 @@ def _op_matrix_at(sym, etas, shift):
             if ex is not None:
                 M[i, j] = complex(ex.eval(xi))
     return M
+
+
+# -- golden values: axes2d report, psi_j and w at fixed xi ------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "gauge_axes2d.json")
+AXES2D = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "axes2d.json")
+GOLDEN_TOL = 1e-14
+
+
+def _coeff_table(sym, xi):
+    """theta -> [re, im] of the coefficient at every xi, for theta in the support."""
+    out = {}
+    for th in sym.support():
+        vals = np.broadcast_to(sym.coeff(th).eval(xi), xi.shape[:-1])
+        key = ",".join(format(float(v), "g") for v in th.to_float())
+        out[key] = [vals.real.tolist(), vals.imag.tolist()]
+    return out
+
+
+def golden_gauge_axes2d(tmp_dir):
+    """Everything tests/golden/gauge_axes2d.json holds, computed afresh."""
+    from spectra_lab.cli import main
+    from spectra_lab.frequency import FrequencySet, GeneratorBasis
+
+    report_path = os.path.join(tmp_dir, "gauge_report.json")
+    assert main(["gauge", "--config", AXES2D, "--out", report_path]) == 0
+    with open(report_path) as fh:
+        report = json.load(fh)
+
+    basis = GeneratorBasis(None)
+    e1, e2 = freq([1, 0], basis), freq([0, 1], basis)
+    S = FrequencySet.build(2, basis, [e1, e2])
+    b = multiplication_symbol({e1: 0.3, -e1: 0.3, e2: 0.25, -e2: 0.25})
+    xi = sample_annulus(2, RHO, 16, np.random.default_rng(20240817))
+    orders = {}
+    for k in (1, 2, 3):
+        zp = ZoneParameters.create(RHO, 2, ktilde=k)
+        out = run_gauge(b, k, CutoffFamily(RHO, zp.beta), S)
+        orders[str(k)] = {"psi": [_coeff_table(p, xi) for p in out.psi],
+                          "w": _coeff_table(out.w, xi)}
+    return {"report": report, "xi": xi.tolist(), "orders": orders}
+
+
+def _assert_matches(got, want, path="$"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            _assert_matches(got[key], want[key], "%s.%s" % (path, key))
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, "%s[%d]" % (path, i))
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= GOLDEN_TOL, \
+            "%s: %r != %r" % (path, got, want)
+    else:  # bool, int, str, None: supports, flags and counts are exact
+        assert type(got) is type(want) and got == want, "%s: %r != %r" % (path, got, want)
+
+
+def test_gauge_axes2d_golden(tmp_path):
+    with open(GOLDEN) as fh:
+        want = json.load(fh)
+    got = json.loads(json.dumps(golden_gauge_axes2d(str(tmp_path))))
+    _assert_matches(got, want)
+
+
+if __name__ == "__main__":
+    # Regenerate the golden file: PYTHONPATH=src python tests/test_gauge.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        payload = golden_gauge_axes2d(tmp)
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")

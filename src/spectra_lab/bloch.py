@@ -18,20 +18,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 from scipy.linalg import eig_banded, eigh
 from scipy.optimize import brentq
 
-from .errors import NonLatticeFrequencies, TruncationCeiling
+from .errors import NonHermitianPotential, NonLatticeFrequencies, TruncationCeiling
 
 
 def lattice_fourier(b, d: int) -> dict:
     """Normalize a potential to {integer coord tuple: complex coeff}.
 
     Accepts a mapping with tuple/FrequencyVector keys or a TrigPotential.
-    Raises NonLatticeFrequencies unless all frequencies lie on Z^d.
+    Raises NonLatticeFrequencies unless all frequencies lie on Z^d, and
+    NonHermitianPotential unless |c(theta) - conj c(-theta)| <= 1e-14 for
+    every theta (the fibers read only theta > 0, so a non-real b would
+    otherwise be made real without notice).
     """
     items = []
     if hasattr(b, "fourier"):  # TrigPotential
@@ -62,6 +65,11 @@ def lattice_fourier(b, d: int) -> dict:
             raise NonLatticeFrequencies("frequency dimension mismatch")
         if c != 0:
             out[key] = out.get(key, 0.0 + 0.0j) + c
+    for key, c in out.items():
+        mirror = out.get(tuple(-m for m in key), 0j)
+        if abs(c - mirror.conjugate()) > 1e-14:
+            raise NonHermitianPotential(
+                "coeff at %s is not the conjugate of coeff at the negation" % (key,))
     return out
 
 

@@ -117,8 +117,6 @@ def cmd_gauge(cfg: RunConfig) -> tuple:
         "psi1_symmetric": bool(out.psi and is_symmetric(out.psi[0], sym_grid)),
         "w_symmetric": bool(is_symmetric(out.w, sym_grid)),
     }
-    diag = dict(out.diagnostics)
-    diag.pop("psi_norm_ladder", None)
     report = {
         "ktilde": cfg.ktilde,
         "rho_n": cfg.rho_n,
@@ -129,7 +127,7 @@ def cmd_gauge(cfg: RunConfig) -> tuple:
                       for entry in out.diagnostics.get("psi_norm_ladder", [])],
         "remainder_norm": out.diagnostics.get("remainder_norm"),
         "checks": checks,
-        "convention": diag.get("convention"),
+        "convention": out.diagnostics["convention"],
     }
     code = 0 if (checks["b3"]["passed"] and checks["psi1_symmetric"]
                  and checks["w_symmetric"]) else 1

@@ -4,7 +4,7 @@ round-tripping (rationals as "p/q" strings, complex numbers as [re, im])."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -233,6 +233,9 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
 
     x = point("x") or tuple(0.0 for _ in range(d))
     y = point("y")
+    if command == "compare" and raw.get("y") is not None:
+        violations.append("command 'compare' evaluates on the diagonal only "
+                          "(y must be null; bloch takes y)")
 
     samples = raw.get("samples", 1000)
     if not isinstance(samples, int) or samples < 1:

@@ -203,10 +203,6 @@ class QuasiLatticeSubspace:
         Q, _ = np.linalg.qr(A)
         return Q[:, : self.dimension]
 
-    def project(self, xi: np.ndarray) -> np.ndarray:
-        B = self.float_basis()
-        return B @ (B.T @ xi)
-
     def __eq__(self, other):
         return isinstance(other, QuasiLatticeSubspace) and self._key == other._key
 

@@ -9,14 +9,13 @@ nothing else; this choice is recorded in diagnostics.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConditionAViolation, NonMultiplicationInput, ZeroFrequency
-from .frequency import FrequencySet, FrequencyVector, algebraic_sum, check_condition_A
+from .frequency import FrequencySet, FrequencyVector, check_condition_A
 from .symbols import (
     Abs,
     Affine,
@@ -32,7 +31,6 @@ from .symbols import (
     XiGrid,
     class_norm,
     compose,
-    is_symmetric,
     laplace_symbol,
 )
 
@@ -87,7 +85,6 @@ def cutoff_eval(kind: str, theta: FrequencyVector, xi: np.ndarray,
 @dataclass
 class GaugeOutput:
     psi: list            # Symbol, j = 1..ktilde
-    psi_prime: list      # Symbol, m = 1..ktilde (graded expansion of e^{i Psi})
     w: Symbol            # symbol of W = H2 + Delta
     diagnostics: dict
 
@@ -146,32 +143,6 @@ def _graded_conjugate(H: dict, iPsi: dict, cap: int) -> dict:
     return total
 
 
-def _graded_exp(iPsi: dict, d: int, basis, cap: int) -> dict:
-    """Graded composition series of e^{i Psi} = sum_l (i Psi)^{o l} / l!."""
-    zero = FrequencyVector([(0, 0)] * d, basis)
-    ident = Symbol({zero: Const(1.0)})
-    total = {0: ident}
-    P = {0: ident}
-    l = 1
-    fact = 1.0
-    while l <= cap:
-        nxt: dict = {}
-        for gp, sp in P.items():
-            for gq, sq in iPsi.items():
-                g = gp + gq
-                if g > cap:
-                    continue
-                term = compose(sp, sq)
-                nxt[g] = nxt[g] + term if g in nxt else term
-        P = {g: s for g, s in nxt.items() if not s.is_zero()}
-        if not P:
-            break
-        fact *= l
-        total = _graded_add(total, P, 1.0 / fact)
-        l += 1
-    return total
-
-
 def run_gauge(b: Symbol, ktilde: int, cf: CutoffFamily, S: FrequencySet,
               check_condition: bool = True,
               norm_grid: Optional[XiGrid] = None) -> GaugeOutput:
@@ -183,24 +154,23 @@ def run_gauge(b: Symbol, ktilde: int, cf: CutoffFamily, S: FrequencySet,
     hat w_j(theta) = Yhat_j (1 - e_theta phi_theta) (theta != 0),
     hat w_j(0) = Yhat_j(0) goes into w.  The (1 - e phi) factorization is used
     verbatim so that w vanishes exactly on the cut-off plateaus.
+
+    The psi-norm ladder and the remainder ledger (the class norm of the
+    grade ktilde+1 part of the full conjugation) are built only when
+    norm_grid is given; nothing else reads them.
     """
     _require_multiplication(b)
     if check_condition:
         ok, witness = check_condition_A(S, ktilde)
         if not ok:
             raise ConditionAViolation("witness tuple: %r" % (witness,))
-    d = S.dimension
-    basis = S.basis
-    h0 = laplace_symbol(d, basis)
-    zero = S.zero()
-    H: dict = {0: h0}
+    H: dict = {0: laplace_symbol(S.dimension, S.basis)}
     if not b.is_zero():
         H[1] = b
 
     psis: list[Symbol] = []
     iPsi: dict = {}
     w_parts: dict[FrequencyVector, list] = {}
-    cap = ktilde + 1
 
     for j in range(1, ktilde + 1):
         conj = _graded_conjugate(H, iPsi, j) if iPsi else dict(H)
@@ -222,13 +192,6 @@ def run_gauge(b: Symbol, ktilde: int, cf: CutoffFamily, S: FrequencySet,
     w = Symbol({th: Sum(parts) if len(parts) > 1 else parts[0]
                 for th, parts in w_parts.items()})
 
-    # full conjugation for the remainder ledger
-    conj_full = _graded_conjugate(H, iPsi, cap) if iPsi else dict(H)
-    remainder = conj_full.get(ktilde + 1, Symbol({}))
-
-    psi_prime_graded = _graded_exp(iPsi, d, basis, ktilde) if iPsi else {}
-    psi_prime = [psi_prime_graded.get(m, Symbol({})) for m in range(1, ktilde + 1)]
-
     diagnostics = {
         "convention": "H1 = exp(-i Psi) H exp(+i Psi); psi_1 = i bhat chi",
         "ktilde": ktilde,
@@ -242,9 +205,11 @@ def run_gauge(b: Symbol, ktilde: int, cf: CutoffFamily, S: FrequencySet,
             bound_rate = cf.rho_n ** (cf.beta * (1 - 2 * j))
             ladder.append({"j": j, "norm": measured, "rate_bound": bound_rate})
         diagnostics["psi_norm_ladder"] = ladder
+        # full conjugation for the remainder ledger
+        conj_full = _graded_conjugate(H, iPsi, ktilde + 1) if iPsi else dict(H)
+        remainder = conj_full.get(ktilde + 1, Symbol({}))
         diagnostics["remainder_norm"] = class_norm(remainder, 0.0, 0.0, 0, norm_grid)
-        diagnostics["w_norm"] = class_norm(w, 0.0, 0.0, 0, norm_grid)
-    return GaugeOutput(psi=psis, psi_prime=psi_prime, w=w, diagnostics=diagnostics)
+    return GaugeOutput(psi=psis, w=w, diagnostics=diagnostics)
 
 
 def verify_b3(out: GaugeOutput, samples: np.ndarray, S: FrequencySet, zp,

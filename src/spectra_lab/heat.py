@@ -77,14 +77,6 @@ class TermAlgebraElement:
         return sp.expand(self.expr.subs(dict(zip(ys, xs))))
 
 
-def z_power(d: int, powers: Sequence[int]) -> TermAlgebraElement:
-    xs, ys = _xy_vars(d)
-    expr = sp.Integer(1)
-    for i, p in enumerate(powers):
-        expr *= (xs[i] - ys[i]) ** p
-    return TermAlgebraElement(d, expr)
-
-
 def z_norm_power(d: int, k: int) -> TermAlgebraElement:
     """|x - y|^{2k}."""
     xs, ys = _xy_vars(d)

@@ -8,9 +8,8 @@ Evaluation is vectorized: eval accepts xi of shape (..., d).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -429,16 +428,6 @@ class Symbol:
     def scale(self, c) -> "Symbol":
         return Symbol({th: Prod([Const(c), ex]) for th, ex in self.coeffs.items()},
                       self.order)
-
-    def to_json(self) -> dict:
-        entries = []
-        for th in self.support():
-            entries.append({
-                "theta": [[str(a), str(b)] for a, b in th.coords],
-                "surd_D": th.basis.surd_D,
-                "coeff": self.coeffs[th].to_json(),
-            })
-        return {"order": self.order, "entries": entries}
 
 
 def evaluate(sym: Symbol, x: np.ndarray, xi: np.ndarray) -> complex:

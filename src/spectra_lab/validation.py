@@ -7,7 +7,7 @@ for monotone quadratic matrix families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -310,12 +310,6 @@ class MatrixFamily:
             acc = acc + np.asarray(C, dtype=complex) * z**k
         return acc
 
-    def S_prime(self, z):
-        acc = np.zeros_like(np.asarray(self.coeffs[0], dtype=complex))
-        for k, C in enumerate(self.coeffs[1:], start=1):
-            acc = acc + k * np.asarray(C, dtype=complex) * z ** (k - 1)
-        return acc
-
     def H2(self, z):
         return z**2 * np.eye(self.size, dtype=complex) + self.S(z)
 
@@ -348,11 +342,6 @@ def scalar_free_family() -> MatrixFamily:
 def _gauss_nodes(a: float, b: float, n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
-def _sorted_eigensystem(fam: MatrixFamily, r: float):
-    ev, V = np.linalg.eigh(fam.H2(r))
-    return ev, V
 
 
 def _crossing_points(fam: MatrixFamily, level: float, r_lo: float,
@@ -428,7 +417,7 @@ def check_contour_identity(fam: MatrixFamily, interval: Sequence[float],
             continue
         nodes, weights = _gauss_nodes(left, right, quad.n_r)
         for r, wt in zip(nodes, weights):
-            ev, V = _sorted_eigensystem(fam, r)
+            ev, V = np.linalg.eigh(fam.H2(r))
             sel = (ev >= lam_lo) & (ev <= lam_hi)
             if not sel.any():
                 continue

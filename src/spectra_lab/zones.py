@@ -9,9 +9,8 @@ near-resonances are generated exactly by the quasi-lattice subspace V.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -6,7 +6,8 @@ import pytest
 from spectra_lab.bloch import (BlochOracle1D, build_fiber, fiber_spectrum,
                                free_lds_d1, free_lds_d2, lattice_fourier,
                                spectral_function)
-from spectra_lab.errors import NonLatticeFrequencies, TruncationCeiling
+from spectra_lab.errors import (NonHermitianPotential, NonLatticeFrequencies,
+                                TruncationCeiling)
 from spectra_lab.frequency import GeneratorBasis, freq
 
 MATHIEU = {(1,): 0.3, (-1,): 0.3}
@@ -23,6 +24,16 @@ def test_lattice_fourier_normalization():
         lattice_fourier({surd: 1.0}, 1)
     with pytest.raises(NonLatticeFrequencies):
         lattice_fourier({(1, 0): 1.0}, 1)  # dimension mismatch
+
+
+def test_lattice_fourier_rejects_non_hermitian():
+    with pytest.raises(NonHermitianPotential):
+        lattice_fourier({(1,): 0.3}, 1)  # no conjugate partner
+    with pytest.raises(NonHermitianPotential):
+        lattice_fourier({(1,): 0.3 + 0.1j, (-1,): 0.3}, 1)
+    # a complex Hermitian pair passes unchanged
+    four = lattice_fourier({(1,): 0.3 + 0.1j, (-1,): 0.3 - 0.1j}, 1)
+    assert four == {(1,): 0.3 + 0.1j, (-1,): 0.3 - 0.1j}
 
 
 def test_fiber_free_diagonal():

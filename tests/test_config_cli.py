@@ -156,3 +156,16 @@ def test_gauge_subcommand(tmp_path):
     rep = json.loads(open(out).read())
     assert rep["checks"]["b3"]["passed"]
     assert rep["checks"]["psi1_symmetric"] and rep["checks"]["w_symmetric"]
+
+
+def test_compare_rejects_y(tmp_path, capsys):
+    cfg = dict(MATHIEU_CFG)
+    cfg["y"] = [0.5]
+    cfgpath = _write(tmp_path, cfg)
+    assert main(["compare", "--config", cfgpath]) == 2
+    assert "y must be null" in capsys.readouterr().err
+    with pytest.raises(Malformed):
+        parse_config(cfgpath, command="compare")
+    # validate and bloch keep accepting an off-diagonal point
+    parse_config(cfgpath, command="validate")
+    parse_config(cfgpath, command="bloch")

@@ -205,7 +205,6 @@ def run_gauge(b: Symbol, ktilde: int, cf: CutoffFamily, S: FrequencySet,
             bound_rate = cf.rho_n ** (cf.beta * (1 - 2 * j))
             ladder.append({"j": j, "norm": measured, "rate_bound": bound_rate})
         diagnostics["psi_norm_ladder"] = ladder
-        # full conjugation for the remainder ledger
         conj_full = _graded_conjugate(H, iPsi, ktilde + 1) if iPsi else dict(H)
         remainder = conj_full.get(ktilde + 1, Symbol({}))
         diagnostics["remainder_norm"] = class_norm(remainder, 0.0, 0.0, 0, norm_grid)

@@ -24,9 +24,6 @@ def test_lattice_fourier_normalization():
         lattice_fourier({surd: 1.0}, 1)
     with pytest.raises(NonLatticeFrequencies):
         lattice_fourier({(1, 0): 1.0}, 1)  # dimension mismatch
-
-
-def test_lattice_fourier_rejects_non_hermitian():
     with pytest.raises(NonHermitianPotential):
         lattice_fourier({(1,): 0.3}, 1)  # no conjugate partner
     with pytest.raises(NonHermitianPotential):

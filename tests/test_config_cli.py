@@ -93,6 +93,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad["frequencies"] = []
     bad["x"] = [0.0, 0.0, 0.0]
     assert main(["bloch", "--config", _write(tmp_path, bad, "b.json")]) == 2
+    # compare works on the diagonal only; validate and bloch take y
+    offdiag = _write(tmp_path, dict(MATHIEU_CFG, y=[0.5]), "y.json")
+    assert main(["compare", "--config", offdiag]) == 2
+    assert "y must be null" in capsys.readouterr().err
+    parse_config(offdiag, command="validate")
+    parse_config(offdiag, command="bloch")
     with pytest.raises(SystemExit) as exc:
         main(["bogus", "--config", cfgpath])
     assert exc.value.code == 2
@@ -156,16 +162,3 @@ def test_gauge_subcommand(tmp_path):
     rep = json.loads(open(out).read())
     assert rep["checks"]["b3"]["passed"]
     assert rep["checks"]["psi1_symmetric"] and rep["checks"]["w_symmetric"]
-
-
-def test_compare_rejects_y(tmp_path, capsys):
-    cfg = dict(MATHIEU_CFG)
-    cfg["y"] = [0.5]
-    cfgpath = _write(tmp_path, cfg)
-    assert main(["compare", "--config", cfgpath]) == 2
-    assert "y must be null" in capsys.readouterr().err
-    with pytest.raises(Malformed):
-        parse_config(cfgpath, command="compare")
-    # validate and bloch keep accepting an off-diagonal point
-    parse_config(cfgpath, command="validate")
-    parse_config(cfgpath, command="bloch")

@@ -25,35 +25,26 @@ from scipy.linalg import eig_banded, eigh
 from scipy.optimize import brentq
 
 from .errors import NonHermitianPotential, NonLatticeFrequencies, TruncationCeiling
+from .frequency import hermitian_violations
 
 
-def lattice_fourier(b, d: int) -> dict:
+def lattice_fourier(b: Mapping, d: int) -> dict:
     """Normalize a potential to {integer coord tuple: complex coeff}.
 
-    Accepts a mapping with tuple/FrequencyVector keys or a TrigPotential.
-    Raises NonLatticeFrequencies unless all frequencies lie on Z^d, and
-    NonHermitianPotential unless |c(theta) - conj c(-theta)| <= 1e-14 for
-    every theta (the fibers read only theta > 0, so a non-real b would
-    otherwise be made real without notice).
+    Accepts a mapping with tuple or FrequencyVector keys.  Raises
+    NonLatticeFrequencies unless all frequencies lie on Z^d, and then
+    NonHermitianPotential unless b is real (`hermitian_violations`; the
+    fibers read only theta > 0, so a non-real b would otherwise be made real
+    without notice).
     """
-    items = []
-    if hasattr(b, "fourier"):  # TrigPotential
-        items = [(th, complex(c)) for th, c in b.fourier]
-    elif isinstance(b, Mapping):
-        for th, c in b.items():
-            if hasattr(th, "coords"):
-                comp = []
-                for a, s in th.coords:
-                    if s != 0:
-                        raise NonLatticeFrequencies("surd frequency %r" % (th,))
-                    comp.append(a)
-                items.append((tuple(comp), complex(c)))
-            else:
-                items.append((tuple(th), complex(c)))
-    else:
+    if not isinstance(b, Mapping):
         raise NonLatticeFrequencies("unsupported potential representation")
     out = {}
-    for th, c in items:
+    for th, c in b.items():
+        if hasattr(th, "coords"):
+            if any(s != 0 for _, s in th.coords):
+                raise NonLatticeFrequencies("surd frequency %r" % (th,))
+            th = tuple(a for a, _ in th.coords)
         key = []
         for t in th:
             f = Fraction(t)
@@ -63,13 +54,12 @@ def lattice_fourier(b, d: int) -> dict:
         key = tuple(key)
         if len(key) != d:
             raise NonLatticeFrequencies("frequency dimension mismatch")
+        c = complex(c)
         if c != 0:
             out[key] = out.get(key, 0.0 + 0.0j) + c
-    for key, c in out.items():
-        mirror = out.get(tuple(-m for m in key), 0j)
-        if abs(c - mirror.conjugate()) > 1e-14:
-            raise NonHermitianPotential(
-                "coeff at %s is not the conjugate of coeff at the negation" % (key,))
+    bad = hermitian_violations(out)
+    if bad:
+        raise NonHermitianPotential(bad[0])
     return out
 
 

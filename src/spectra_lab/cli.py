@@ -18,7 +18,7 @@ from . import validation as V
 from .config import RunConfig, parse_config, serialize_config
 from .errors import ConfigError, SpectraLabError
 from .frequency import (FrequencySet, GeneratorBasis, check_condition_A,
-                        diophantine_constants, freq)
+                        diophantine_constants)
 from .gauge import CutoffFamily, run_gauge, verify_b3
 from .symbols import XiGrid, is_symmetric, multiplication_symbol
 from .zones import ZoneParameters, sample_annulus
@@ -44,29 +44,15 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _frequency_set(cfg: RunConfig):
-    basis = GeneratorBasis(cfg.surd_D)
-    vectors = []
-    for coords, _ in cfg.frequencies:
-        v = freq(list(coords), basis)
-        if not v.is_zero():
-            vectors.append(v)
-    S = FrequencySet.build(cfg.dimension, basis, vectors)
-    return basis, S
-
-
-def _mult_symbol(cfg: RunConfig, basis):
-    table = {}
-    for coords, c in cfg.frequencies:
-        v = freq(list(coords), basis)
-        table[v] = table.get(v, 0j) + c
-    return multiplication_symbol(table)
+def _frequency_set(cfg: RunConfig) -> FrequencySet:
+    return FrequencySet.build(cfg.dimension, GeneratorBasis(cfg.surd_D),
+                              [v for v in cfg.potential if not v.is_zero()])
 
 
 def cmd_zones(cfg: RunConfig) -> tuple:
     from .zones import classify_point, congruence_class
 
-    basis, S = _frequency_set(cfg)
+    S = _frequency_set(cfg)
     zp = ZoneParameters.create(cfg.rho_n, cfg.dimension, alpha=cfg.alpha,
                                ktilde=cfg.ktilde)
     rng = np.random.default_rng(cfg.seed)
@@ -100,11 +86,11 @@ def cmd_zones(cfg: RunConfig) -> tuple:
 
 
 def cmd_gauge(cfg: RunConfig) -> tuple:
-    basis, S = _frequency_set(cfg)
+    S = _frequency_set(cfg)
     zp = ZoneParameters.create(cfg.rho_n, cfg.dimension, alpha=cfg.alpha,
                                ktilde=cfg.ktilde)
     cf = CutoffFamily(cfg.rho_n, zp.beta)
-    b = _mult_symbol(cfg, basis)
+    b = multiplication_symbol(cfg.potential)
     rng = np.random.default_rng(cfg.seed)
     pts = sample_annulus(cfg.dimension, cfg.rho_n, cfg.samples, rng)
     grid = XiGrid(pts, zp.beta)
@@ -140,7 +126,7 @@ def cmd_heat(cfg: RunConfig) -> tuple:
     from .heat import (TrigPotential, closed_form_a, discrepancy_report,
                        mean_a, weyl_constant)
 
-    b = TrigPotential.build(cfg.dimension, cfg.potential_dict())
+    b = TrigPotential.build(cfg.dimension, cfg.potential)
     x = list(cfg.x)
     a1 = closed_form_a(b, 1, x)
     a2 = closed_form_a(b, 2, x)
@@ -170,8 +156,7 @@ def cmd_bloch(cfg: RunConfig) -> tuple:
     lams = cfg.ladder()
     x = np.array(cfg.x)
     y = np.array(cfg.y) if cfg.y is not None else x
-    four = cfg.potential_dict()
-    vals = spectral_function(lams, x, y, four, cfg.M_cut, cfg.N_k,
+    vals = spectral_function(lams, x, y, cfg.potential, cfg.M_cut, cfg.N_k,
                              d=cfg.dimension)
     lines = ["lambda,x,y,e_lambda,N_k,M_cut"]
     for lam, v in zip(lams, np.atleast_1d(vals)):
@@ -185,15 +170,14 @@ def cmd_compare(cfg: RunConfig) -> tuple:
     from .heat import TrigPotential
 
     lams = cfg.ladder()
-    four = cfg.potential_dict()
-    b = TrigPotential.build(cfg.dimension, four)
+    b = TrigPotential.build(cfg.dimension, cfg.potential)
     coeffs = V.coefficients_from_potential(b, 2)
     x = cfg.x
     if cfg.dimension == 1:
-        oracle = BlochOracle1D(four, M_cut=cfg.M_cut)
+        oracle = BlochOracle1D(cfg.potential, M_cut=cfg.M_cut)
         N = oracle.evaluate(lams, x[0])
     else:
-        N = spectral_function(lams, np.array(x), np.array(x), four,
+        N = spectral_function(lams, np.array(x), np.array(x), cfg.potential,
                               cfg.M_cut, cfg.N_k, d=cfg.dimension)
     N0 = V.expansion_eval(coeffs, lams, list(x), L=0)
     N1 = V.expansion_eval(coeffs, lams, list(x), L=1)
@@ -261,11 +245,11 @@ def cmd_validate(cfg: RunConfig) -> tuple:
     add("diagonal_growth", growth["passed"], max_ratio=growth["max_ratio"])
 
     # zone partition sanity for the configured frequencies
-    if cfg.frequencies:
+    if cfg.potential:
         from .zones import classify_point
 
         try:
-            basis, S = _frequency_set(cfg)
+            S = _frequency_set(cfg)
             zp = ZoneParameters.create(cfg.rho_n, cfg.dimension,
                                        alpha=cfg.alpha, ktilde=cfg.ktilde)
             rng = np.random.default_rng(cfg.seed)
@@ -315,16 +299,15 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
+    overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out))
+                 if v is not None}
     try:
-        cfg = parse_config(args.config, command=args.command)
+        cfg = parse_config(args.config, command=args.command,
+                           overrides=overrides)
     except ConfigError as e:
         for v in e.violations:
             sys.stderr.write("config error: %s\n" % v)
         return 2
-    if args.seed is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
-    if args.out is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "out": args.out})
     try:
         return dispatch(args.command, cfg)
     except ConfigError as e:

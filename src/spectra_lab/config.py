@@ -4,11 +4,18 @@ round-tripping (rationals as "p/q" strings, complex numbers as [re, im])."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import Malformed, NonHermitianPotential, UnsupportedDimension
+from .frequency import GeneratorBasis, freq, hermitian_violations
+
+
+def _real(v) -> bool:
+    """A finite JSON number (json reads NaN and Infinity as floats)."""
+    return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
 
 
 def _parse_rational(v, violations, where):
@@ -39,25 +46,20 @@ def _parse_coord(v, has_surd, violations, where):
 
 
 def _parse_complex(v, violations, where):
-    if isinstance(v, (int, float)):
+    if _real(v):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 \
-            and all(isinstance(t, (int, float)) for t in v):
+    if isinstance(v, list) and len(v) == 2 and all(_real(t) for t in v):
         return complex(v[0], v[1])
-    violations.append("%s: expected number or [re, im], got %r" % (where, v))
+    violations.append("%s: expected finite number or [re, im], got %r"
+                      % (where, v))
     return 0j
-
-
-def _coord_key(c):
-    """Hashable canonical form of a parsed coordinate tuple."""
-    return tuple(c) if isinstance(c, tuple) else c
 
 
 @dataclass(frozen=True)
 class RunConfig:
     dimension: int
     rho_n: float
-    frequencies: tuple = ()        # ((coord, ...), complex coeff) entries
+    potential: dict = field(default_factory=dict)  # {FrequencyVector: coeff}
     surd_D: Optional[int] = None
     ktilde: int = 1
     k_max: int = 3
@@ -78,13 +80,6 @@ class RunConfig:
 
         return np.geomspace(self.ladder_min, self.ladder_max, self.ladder_count)
 
-    def potential_dict(self) -> dict:
-        """Fourier data keyed by coordinate tuples (Fractions)."""
-        out = {}
-        for coords, c in self.frequencies:
-            out[tuple(_coord_key(v) for v in coords)] = c
-        return out
-
 
 _KNOWN_KEYS = {
     "dimension", "rho_n", "frequencies", "surd_D", "ktilde", "k_max", "alpha",
@@ -92,9 +87,11 @@ _KNOWN_KEYS = {
 }
 
 
-def parse_config(path: str, command: Optional[str] = None) -> RunConfig:
+def parse_config(path: str, command: Optional[str] = None,
+                 overrides: Optional[dict] = None) -> RunConfig:
     """Read and validate a JSON config; raises with every violation found,
-    not just the first."""
+    not just the first.  `overrides` (the CLI's --seed and --out) replace
+    keys of the file before validation, so they obey the same rules."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -104,12 +101,14 @@ def parse_config(path: str, command: Optional[str] = None) -> RunConfig:
         raise Malformed(["invalid JSON: %s" % e])
     if not isinstance(raw, dict):
         raise Malformed(["top-level config must be a JSON object"])
-    return validate_config(raw, command)
+    return validate_config({**raw, **(overrides or {})}, command)
 
 
 def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
+    """Check a raw config; the potential becomes one Fourier table keyed by
+    exact FrequencyVector, with equal theta summed and the first-seen order
+    kept (the gauge composes in that order)."""
     violations = []
-    hermitian_violations = []
     dimension_violations = []
 
     for k in raw:
@@ -134,11 +133,12 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
                               "(surd_D must be null)" % command)
 
     rho = raw.get("rho_n", 1000.0)
-    if not isinstance(rho, (int, float)) or rho <= 1.0:
-        violations.append("rho_n must be a number > 1")
+    if not _real(rho) or rho <= 1.0:
+        violations.append("rho_n must be a finite number > 1")
         rho = 1000.0
 
-    freqs = []
+    basis = GeneratorBasis(surd)
+    table = {}
     entries = raw.get("frequencies", [])
     if not isinstance(entries, list):
         violations.append("frequencies must be a list")
@@ -155,21 +155,9 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
         coords = tuple(_parse_coord(v, surd is not None, violations, where)
                        for v in th)
         coeff = _parse_complex(ent["coeff"], violations, where)
-        freqs.append((coords, coeff))
-
-    # real potential: coeff(theta) == conj(coeff(-theta))
-    table = {}
-    for coords, c in freqs:
-        key = tuple(_coord_key(v) for v in coords)
-        table[key] = table.get(key, 0j) + c
-    for key, c in table.items():
-        neg = tuple(tuple(-p for p in v) if isinstance(v, tuple) else -v
-                    for v in key)
-        mirror = table.get(neg, 0j)
-        if abs(c - mirror.conjugate()) > 1e-14:
-            hermitian_violations.append(
-                "coeff at %s is not the conjugate of coeff at the negation"
-                % (key,))
+        v = freq(coords, basis)
+        table[v] = table[v] + coeff if v in table else coeff
+    hermitian = hermitian_violations(table)
 
     ktilde = raw.get("ktilde", 1)
     if not isinstance(ktilde, int) or ktilde < 1:
@@ -183,8 +171,8 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
     alpha = raw.get("alpha")
     if alpha is not None:
         if (not isinstance(alpha, list) or len(alpha) != d
-                or not all(isinstance(a, (int, float)) for a in alpha)):
-            violations.append("alpha must be a list of d numbers")
+                or not all(_real(a) for a in alpha)):
+            violations.append("alpha must be a list of d finite numbers")
             alpha = None
         else:
             if any(alpha[i] >= alpha[i + 1] for i in range(d - 1)) \
@@ -211,9 +199,8 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
     lmin = lad.get("min", 100.0)
     lmax = lad.get("max", 10000.0)
     lcount = lad.get("count", 40)
-    if not (isinstance(lmin, (int, float)) and isinstance(lmax, (int, float))
-            and lmin > 0 and lmax > lmin):
-        violations.append("ladder needs 0 < min < max")
+    if not (_real(lmin) and _real(lmax) and lmin > 0 and lmax > lmin):
+        violations.append("ladder needs finite 0 < min < max")
         lmin, lmax = 100.0, 10000.0
     if not isinstance(lcount, int) or lcount < 2:
         violations.append("ladder count must be an integer >= 2")
@@ -226,8 +213,8 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
         if isinstance(p, (int, float)):
             p = [p]
         if not isinstance(p, list) or len(p) != d \
-                or not all(isinstance(v, (int, float)) for v in p):
-            violations.append("%s must be a list of d coordinates" % key)
+                or not all(_real(v) for v in p):
+            violations.append("%s must be a list of d finite coordinates" % key)
             return None
         return tuple(float(v) for v in p)
 
@@ -250,16 +237,16 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
         violations.append("out must be a path string")
         out = None
 
-    all_violations = violations + hermitian_violations + dimension_violations
+    all_violations = violations + hermitian + dimension_violations
     if all_violations:
-        if hermitian_violations:
+        if hermitian:
             raise NonHermitianPotential(all_violations)
         if dimension_violations:
             raise UnsupportedDimension(all_violations)
         raise Malformed(all_violations)
 
     return RunConfig(
-        dimension=d, rho_n=float(rho), frequencies=tuple(freqs), surd_D=surd,
+        dimension=d, rho_n=float(rho), potential=table, surd_D=surd,
         ktilde=ktilde, k_max=k_max, alpha=alpha, M_cut=M_cut, N_k=N_k,
         ladder_min=float(lmin), ladder_max=float(lmax), ladder_count=lcount,
         x=x, y=y, samples=samples, seed=seed, out=out,
@@ -269,15 +256,15 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
 def _coord_to_json(c, has_surd):
     if has_surd:
         return [str(c[0]), str(c[1])]
-    return str(c)
+    return str(c[0])
 
 
 def serialize_config(cfg: RunConfig) -> dict:
     """Inverse of parse_config up to canonical forms (round-trip identity)."""
     has_surd = cfg.surd_D is not None
-    freqs = [{"theta": [_coord_to_json(v, has_surd) for v in coords],
+    freqs = [{"theta": [_coord_to_json(v, has_surd) for v in th.coords],
               "coeff": [c.real, c.imag]}
-             for coords, c in cfg.frequencies]
+             for th, c in cfg.potential.items()]
     out = {
         "dimension": cfg.dimension,
         "rho_n": cfg.rho_n,

@@ -6,7 +6,8 @@ class SpectraLabError(Exception):
 
 
 class UnsupportedGenerators(SpectraLabError):
-    """Exact rank over the generator field is undecidable (more than one surd)."""
+    """Frequencies outside the generators a layer handles: more than one
+    surd, or a surd where only rational frequencies are supported."""
 
 
 class ZeroFrequency(SpectraLabError):

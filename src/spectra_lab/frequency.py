@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -112,6 +112,19 @@ class FrequencyVector:
 def freq(values: Sequence, basis: GeneratorBasis) -> FrequencyVector:
     """Build a frequency from ints/Fractions (rational case) or (a, b) pairs."""
     return FrequencyVector(list(values), basis)
+
+
+def hermitian_violations(fourier: Mapping) -> list[str]:
+    """The frequencies theta of a Fourier table (FrequencyVector or integer
+    tuple keys) where |c(theta) - conj c(-theta)| <= 1e-14 fails, i.e. where
+    b is not real-valued; a NaN coefficient fails too."""
+    bad = []
+    for th, c in fourier.items():
+        neg = -th if isinstance(th, FrequencyVector) else tuple(-t for t in th)
+        if not abs(c - fourier.get(neg, 0j).conjugate()) <= 1e-14:
+            bad.append("coeff at %s is not the conjugate of coeff at the "
+                       "negation" % (th,))
+    return bad
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from typing import Mapping, Optional, Sequence
 
 import sympy as sp
 
+from .errors import UnsupportedGenerators
+
 
 def _xy_vars(d: int):
     xs = sp.symbols("x0:%d" % d, real=True)
@@ -33,8 +35,15 @@ class TrigPotential:
 
     @classmethod
     def build(cls, d: int, fourier: Mapping) -> "TrigPotential":
+        """`fourier` is keyed by coordinate tuples or FrequencyVector; a
+        frequency with a surd part raises UnsupportedGenerators."""
         entries = []
         for th, c in fourier.items():
+            if hasattr(th, "coords"):
+                if any(s != 0 for _, s in th.coords):
+                    raise UnsupportedGenerators(
+                        "TrigPotential needs rational frequencies, got %r" % (th,))
+                th = tuple(a for a, _ in th.coords)
             th = tuple(sp.Rational(Fraction(t)) for t in th)
             entries.append((th, sp.sympify(c)))
         return cls(d, tuple(entries))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spectra_lab.frequency import FrequencySet, GeneratorBasis, freq
+
+# every @given test draws the same examples on every run
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectra_lab.bloch import (BlochOracle1D, build_fiber, fiber_spectrum,
                                free_lds_d1, free_lds_d2, lattice_fourier,
@@ -28,6 +30,8 @@ def test_lattice_fourier_normalization():
         lattice_fourier({(1,): 0.3}, 1)  # no conjugate partner
     with pytest.raises(NonHermitianPotential):
         lattice_fourier({(1,): 0.3 + 0.1j, (-1,): 0.3}, 1)
+    with pytest.raises(NonHermitianPotential):
+        lattice_fourier({(1,): math.nan, (-1,): math.nan}, 1)
     # a complex Hermitian pair passes unchanged
     four = lattice_fourier({(1,): 0.3 + 0.1j, (-1,): 0.3 - 0.1j}, 1)
     assert four == {(1,): 0.3 + 0.1j, (-1,): 0.3 - 0.1j}
@@ -130,3 +134,43 @@ def test_oracle_free_case_exact():
     lams = np.geomspace(50.0, 800.0, 6)
     vals = oracle.evaluate(lams, 0.0)
     assert np.max(np.abs(vals / (np.sqrt(lams) / math.pi) - 1)) < 1e-10
+
+
+# b = 0.3 cos x + 0.1 cos 2x; its oracle is shared by the examples below
+COS12 = {(1,): 0.15, (-1,): 0.15, (2,): 0.05, (-2,): 0.05}
+COS12_LAMS = np.geomspace(60.0, 300.0, 6)
+
+
+@pytest.fixture(scope="module")
+def cos12_oracle():
+    return BlochOracle1D(COS12, M_cut=40)
+
+
+def _shifted(b, s):
+    """bhat_s(theta) = bhat(theta) e^{i theta s}, so b_s(x) = b(x + s); the
+    theta < 0 coefficient is the exact conjugate of its partner."""
+    out = {}
+    for (t,), c in b.items():
+        if t > 0:
+            out[(t,)] = c * np.exp(1j * t * s)
+            out[(-t,)] = np.conj(out[(t,)])
+    return out
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.floats(0.01, 2 * math.pi), st.floats(0.0, 2 * math.pi),
+       st.floats(0.0, 2 * math.pi))
+def test_translation_covariance(cos12_oracle, s, x1, x2):
+    """e^{b_s}_lambda(x, x) = e^b_lambda(x + s, x + s), through the oracle
+    and the midpoint path, with complex Hermitian coefficients.  b is
+    2pi-periodic, so s in (0, 2pi] covers every shift; s is kept away from 0
+    because near-underflow imaginary parts (s ~ 1e-300) slow the banded
+    eigensolver about sixfold."""
+    shifted = BlochOracle1D(_shifted(COS12, s), M_cut=40)
+    for x in (x1, x2):
+        want = cos12_oracle.evaluate(COS12_LAMS, x + s)
+        got = shifted.evaluate(COS12_LAMS, x)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        want = spectral_function(COS12_LAMS, x + s, x + s, COS12, 40, 256)
+        got = spectral_function(COS12_LAMS, x, x, _shifted(COS12, s), 40, 256)
+        assert np.max(np.abs(got - want)) <= 1e-12

@@ -7,6 +7,7 @@ from spectra_lab.cli import main
 from spectra_lab.config import parse_config, serialize_config, validate_config
 from spectra_lab.errors import (Malformed, NonHermitianPotential,
                                 UnsupportedDimension)
+from spectra_lab.frequency import GeneratorBasis, freq
 
 MATHIEU_CFG = {
     "dimension": 1,
@@ -35,10 +36,24 @@ def _write(tmp_path, data, name="cfg.json"):
 def test_parse_valid_mathieu(tmp_path):
     cfg = parse_config(_write(tmp_path, MATHIEU_CFG))
     assert cfg.dimension == 1
-    keys = set(cfg.potential_dict())
-    from fractions import Fraction
+    basis = GeneratorBasis(None)
+    assert cfg.potential == {freq([1], basis): 0.2, freq([-1], basis): 0.2}
 
-    assert keys == {(Fraction(1),), (Fraction(-1),)}
+
+def test_duplicate_theta_summed(tmp_path):
+    """theta = +-1 listed twice at 0.1 is the potential with +-1 at 0.2, in
+    every subcommand that reads the potential."""
+    dup = dict(MATHIEU_CFG, frequencies=[
+        {"theta": [t], "coeff": [0.1, 0.0]} for t in ("1", "-1", "1", "-1")])
+    paths = {"dup": _write(tmp_path, dup, "dup.json"),
+             "merged": _write(tmp_path, MATHIEU_CFG, "merged.json")}
+    out = str(tmp_path / "out")
+    for cmd in ("heat", "compare", "bloch", "gauge", "zones"):
+        texts = {}
+        for key, path in paths.items():
+            code = main([cmd, "--config", path, "--out", out, "--seed", "3"])
+            texts[key] = (code, open(out, "rb").read())
+        assert texts["dup"] == texts["merged"], cmd
 
 
 def test_roundtrip_identity(tmp_path):
@@ -99,6 +114,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "y must be null" in capsys.readouterr().err
     parse_config(offdiag, command="validate")
     parse_config(offdiag, command="bloch")
+    # --seed obeys the config's seed rule
+    assert main(["zones", "--config", cfgpath, "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    # json reads NaN and Infinity; every configured number must be finite
+    nan, inf = float("nan"), float("inf")
+    for field, bad in [
+            ("rho_n", dict(MATHIEU_CFG, rho_n=inf)),
+            ("frequencies[0]", dict(MATHIEU_CFG, frequencies=[
+                {"theta": ["1"], "coeff": [nan, 0.0]},
+                {"theta": ["-1"], "coeff": [nan, 0.0]}])),
+            ("x", dict(MATHIEU_CFG, x=[nan])),
+            ("y", dict(MATHIEU_CFG, y=[inf])),
+            ("alpha", dict(MATHIEU_CFG, alpha=[-inf])),
+            ("ladder", dict(MATHIEU_CFG, ladder={"min": 50.0, "max": inf,
+                                                 "count": 6}))]:
+        path = _write(tmp_path, bad, "nonfinite.json")
+        assert main(["heat", "--config", path]) == 2, field
+        assert "config error: " + field in capsys.readouterr().err, field
     with pytest.raises(SystemExit) as exc:
         main(["bogus", "--config", cfgpath])
     assert exc.value.code == 2

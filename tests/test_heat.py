@@ -1,5 +1,8 @@
+import pytest
 import sympy as sp
 
+from spectra_lab.errors import UnsupportedGenerators
+from spectra_lab.frequency import GeneratorBasis, freq
 from spectra_lab.heat import (TrigPotential, a_from_sigma, apply_H,
                               closed_form_a, cosine_potential,
                               discrepancy_report, mean_a, sigma_j,
@@ -74,6 +77,15 @@ def test_a1_reality():
     expr = sp.expand(sp.re(sp.expand_complex(closed_form_a(b, 1))))
     full = sp.expand_complex(closed_form_a(b, 1))
     assert sp.simplify(sp.im(full)) == 0
+
+
+def test_build_from_frequency_vectors():
+    basis = GeneratorBasis(2)
+    b = TrigPotential.build(1, {freq([1], basis): 1, freq([-1], basis): 1})
+    assert b == _mathieu()
+    # a surd frequency is refused, never cut down to its rational part
+    with pytest.raises(UnsupportedGenerators):
+        TrigPotential.build(1, {freq([(1, 1)], basis): 1})
 
 
 def test_mean_a1_from_fourier():

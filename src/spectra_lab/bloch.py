@@ -207,17 +207,11 @@ def _eig_banded_k(k: float, ms: np.ndarray, four: dict, bw: int,
         elif t > 0:
             # entry (m + t, m): lower band t; negative t is the Hermitian mirror
             ab[t, : n - t] = c
-    if index is not None:
-        sel = ("i", (index, index))
-    elif emax is not None:
-        sel = ("v", (-np.inf, emax))
-    else:
-        sel = ("a", None)
     kw = {}
-    if sel[0] == "i":
-        kw = {"select": "i", "select_range": sel[1]}
-    elif sel[0] == "v":
-        kw = {"select": "v", "select_range": sel[1]}
+    if index is not None:
+        kw = {"select": "i", "select_range": (index, index)}
+    elif emax is not None:
+        kw = {"select": "v", "select_range": (-np.inf, emax)}
     if vectors:
         w, v = eig_banded(ab, lower=True, **kw)
         return w, v
@@ -228,6 +222,17 @@ def _eig_banded_k(k: float, ms: np.ndarray, four: dict, bw: int,
 def _wave_amp(vecs: np.ndarray, ms: np.ndarray, k: float, x: float) -> np.ndarray:
     phases = np.exp(1j * (k + ms) * x)
     return phases @ vecs
+
+
+def _fermi_sums(w: np.ndarray, contrib: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Per lambda, the contributions summed over E <= lambda plus those
+    summed over E < lambda (twice the averaged count)."""
+    order = np.argsort(w, kind="stable")
+    wsort = w[order]
+    csum = np.concatenate([[0.0], np.cumsum(contrib[order])])
+    n_le = np.searchsorted(wsort, lams, side="right")
+    n_lt = np.searchsorted(wsort, lams, side="left")
+    return csum[n_le] + csum[n_lt]
 
 
 def _midpoint_d1(lams, x, y, four, M_cut, Nk):
@@ -242,12 +247,7 @@ def _midpoint_d1(lams, x, y, four, M_cut, Nk):
         ux = _wave_amp(v, ms, k, xv)
         uy = ux if yv == xv else _wave_amp(v, ms, k, yv)
         contrib = (ux * np.conj(uy)).real  # -k partner adds the conjugate
-        order = np.argsort(w, kind="stable")
-        wsort = w[order]
-        csum = np.concatenate([[0.0], np.cumsum(contrib[order])])
-        n_le = np.searchsorted(wsort, lams, side="right")
-        n_lt = np.searchsorted(wsort, lams, side="left")
-        acc += csum[n_le] + csum[n_lt]  # x2 from symmetry, /2 from averaging
+        acc += _fermi_sums(w, contrib, lams)  # x2 from symmetry, /2 from averaging
     return acc / Nk / (2 * math.pi)
 
 
@@ -270,12 +270,7 @@ def _midpoint_d2(lams, x, y, four, M_cut, Nk):
             ux = phx @ v
             uy = ux if diag else (np.exp(1j * (marr + k) @ y) @ v)
             contrib = (ux * np.conj(uy)).real
-            order = np.argsort(w, kind="stable")
-            wsort = w[order]
-            csum = np.concatenate([[0.0], np.cumsum(contrib[order])])
-            n_le = np.searchsorted(wsort, lams, side="right")
-            n_lt = np.searchsorted(wsort, lams, side="left")
-            acc += 0.5 * (csum[n_le] + csum[n_lt])
+            acc += 0.5 * _fermi_sums(w, contrib, lams)
     return acc / Nk**2 / (2 * math.pi) ** 2
 
 

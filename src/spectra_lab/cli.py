@@ -18,7 +18,7 @@ from . import validation as V
 from .config import RunConfig, parse_config, serialize_config
 from .errors import ConfigError, SpectraLabError
 from .frequency import (FrequencySet, GeneratorBasis, check_condition_A,
-                        diophantine_constants)
+                        diophantine_constants, potential_frequencies)
 from .gauge import CutoffFamily, run_gauge, verify_b3
 from .symbols import XiGrid, is_symmetric, multiplication_symbol
 from .zones import ZoneParameters, sample_annulus
@@ -46,7 +46,7 @@ def _json_dump(obj) -> str:
 
 def _frequency_set(cfg: RunConfig) -> FrequencySet:
     return FrequencySet.build(cfg.dimension, GeneratorBasis(cfg.surd_D),
-                              [v for v in cfg.potential if not v.is_zero()])
+                              potential_frequencies(cfg.potential))
 
 
 def cmd_zones(cfg: RunConfig) -> tuple:
@@ -244,8 +244,8 @@ def cmd_validate(cfg: RunConfig) -> tuple:
     growth = V.diagonal_growth_check(lams, N, 1)
     add("diagonal_growth", growth["passed"], max_ratio=growth["max_ratio"])
 
-    # zone partition sanity for the configured frequencies
-    if cfg.potential:
+    # zone partition sanity for the configured frequencies (skipped for b = 0)
+    if any(cfg.potential.values()):
         from .zones import classify_point
 
         try:

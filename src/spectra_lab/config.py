@@ -10,7 +10,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import Malformed, NonHermitianPotential, UnsupportedDimension
-from .frequency import GeneratorBasis, freq, hermitian_violations
+from .frequency import (FrequencySet, GeneratorBasis, freq,
+                        hermitian_violations, potential_frequencies)
 
 
 def _real(v) -> bool:
@@ -158,6 +159,15 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
         v = freq(coords, basis)
         table[v] = table[v] + coeff if v in table else coeff
     hermitian = hermitian_violations(table)
+    # the zone geometry needs the frequencies of b to span R^d; validate
+    # skips its zone check for b = 0
+    if command in ("zones", "gauge") or (command == "validate"
+                                         and any(table.values())):
+        S = FrequencySet.build(d, basis, potential_frequencies(table),
+                               require_spanning=False)
+        if S.real_rank() < d:
+            violations.append("command %r needs the frequencies with a nonzero "
+                              "coefficient to span R^%d" % (command, d))
 
     ktilde = raw.get("ktilde", 1)
     if not isinstance(ktilde, int) or ktilde < 1:

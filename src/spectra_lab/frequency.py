@@ -127,6 +127,13 @@ def hermitian_violations(fourier: Mapping) -> list[str]:
     return bad
 
 
+def potential_frequencies(potential: Mapping) -> list[FrequencyVector]:
+    """The theta of a Fourier table {FrequencyVector: coeff} whose coefficient
+    is nonzero, the rule lattice_fourier applies, so that a zero entry does
+    not change the zone geometry."""
+    return [v for v, c in potential.items() if c != 0]
+
+
 @dataclass(frozen=True)
 class FrequencySet:
     """Finite symmetric frequency set containing 0 and spanning R^d."""

@@ -103,7 +103,7 @@ def first_order_psi(b: Symbol, cf: CutoffFamily) -> Symbol:
         if th.is_zero():
             continue
         out[th] = Prod([Const(1j), ex, cf.chi_expr(th)])
-    return Symbol(out, order=0.0)
+    return Symbol(out)
 
 
 # -- graded symbol algebra: dict grade -> Symbol -------------------------------
@@ -201,13 +201,13 @@ def run_gauge(b: Symbol, ktilde: int, cf: CutoffFamily, S: FrequencySet,
     if norm_grid is not None:
         ladder = []
         for j, p in enumerate(psis, start=1):
-            measured = class_norm(p, 0.0, 0.0, 0, norm_grid)
+            measured = class_norm(p, norm_grid)
             bound_rate = cf.rho_n ** (cf.beta * (1 - 2 * j))
             ladder.append({"j": j, "norm": measured, "rate_bound": bound_rate})
         diagnostics["psi_norm_ladder"] = ladder
         conj_full = _graded_conjugate(H, iPsi, ktilde + 1) if iPsi else dict(H)
         remainder = conj_full.get(ktilde + 1, Symbol({}))
-        diagnostics["remainder_norm"] = class_norm(remainder, 0.0, 0.0, 0, norm_grid)
+        diagnostics["remainder_norm"] = class_norm(remainder, norm_grid)
     return GaugeOutput(psi=psis, w=w, diagnostics=diagnostics)
 
 

@@ -1,9 +1,8 @@
 """Quasi-periodic pseudodifferential symbols.
 
 A symbol is a finite map theta -> coefficient function of xi; coefficients are
-closed-form expression trees supporting exact xi-shifts and analytic
-xi-derivatives, so composition and class norms stay symbolic in xi.
-Evaluation is vectorized: eval accepts xi of shape (..., d).
+closed-form expression trees supporting exact xi-shifts, so composition stays
+symbolic in xi.  Evaluation is vectorized: eval accepts xi of shape (..., d).
 """
 
 from __future__ import annotations
@@ -42,35 +41,16 @@ def iota(z):
     return np.where(z <= _Z0, 1.0, np.where(z >= _Z1, 0.0, s))
 
 
-def iota_prime(z):
-    z = np.asarray(z, dtype=float)
-    u = (_Z1 - z) / _W
-    inside = (u > 0) & (u < 1)
-    uc = np.where(inside, u, 0.5)
-    fu = _f(uc)
-    fv = _f(1.0 - uc)
-    dfu = fu / uc**2
-    dfv = -fv / (1.0 - uc) ** 2
-    ds = (dfu * fv - fu * dfv) / (fu + fv) ** 2
-    return np.where(inside, ds * (-1.0 / _W), 0.0)
-
-
 # -- expression trees ----------------------------------------------------------
 
 
 class CoefficientExpr:
-    """Base node; subclasses implement eval / shift / diff / to_json."""
+    """Base node; subclasses implement eval and shift."""
 
     def eval(self, xi: np.ndarray):
         raise NotImplementedError
 
     def shift(self, eta: np.ndarray) -> "CoefficientExpr":
-        raise NotImplementedError
-
-    def diff(self, i: int) -> "CoefficientExpr":
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
         raise NotImplementedError
 
     def __add__(self, other):
@@ -107,12 +87,6 @@ class Const(CoefficientExpr):
     def shift(self, eta):
         return self
 
-    def diff(self, i):
-        return Const(0.0)
-
-    def to_json(self):
-        return {"t": "const", "re": self.c.real, "im": self.c.imag}
-
 
 class Affine(CoefficientExpr):
     """<w, xi> + c with real w and complex c."""
@@ -128,12 +102,6 @@ class Affine(CoefficientExpr):
     def shift(self, eta):
         return Affine(self.w, self.c + float(np.asarray(eta, dtype=float) @ self.w))
 
-    def diff(self, i):
-        return Const(self.w[i])
-
-    def to_json(self):
-        return {"t": "affine", "w": self.w.tolist(), "re": self.c.real, "im": self.c.imag}
-
 
 class QuadShift(CoefficientExpr):
     """|xi + v|^2."""
@@ -148,14 +116,6 @@ class QuadShift(CoefficientExpr):
 
     def shift(self, eta):
         return QuadShift(self.v + np.asarray(eta, dtype=float))
-
-    def diff(self, i):
-        w = np.zeros_like(self.v)
-        w[i] = 2.0
-        return Affine(w, 2.0 * self.v[i])
-
-    def to_json(self):
-        return {"t": "quadshift", "v": self.v.tolist()}
 
 
 class Sum(CoefficientExpr):
@@ -182,12 +142,6 @@ class Sum(CoefficientExpr):
 
     def shift(self, eta):
         return Sum([t.shift(eta) for t in self.terms])
-
-    def diff(self, i):
-        return Sum([t.diff(i) for t in self.terms])
-
-    def to_json(self):
-        return {"t": "sum", "terms": [t.to_json() for t in self.terms]}
 
 
 class Prod(CoefficientExpr):
@@ -225,17 +179,6 @@ class Prod(CoefficientExpr):
     def shift(self, eta):
         return Prod([f.shift(eta) for f in self.factors])
 
-    def diff(self, i):
-        terms = []
-        for j in range(len(self.factors)):
-            fs = list(self.factors)
-            fs[j] = fs[j].diff(i)
-            terms.append(Prod(fs))
-        return Sum(terms)
-
-    def to_json(self):
-        return {"t": "prod", "factors": [f.to_json() for f in self.factors]}
-
 
 class Quot(CoefficientExpr):
     """num/den with the convention 0/0 = 0: numerator is evaluated first and
@@ -255,16 +198,6 @@ class Quot(CoefficientExpr):
     def shift(self, eta):
         return Quot(self.num.shift(eta), self.den.shift(eta))
 
-    def diff(self, i):
-        # valid away from the zero plateau of the numerator; on the plateau the
-        # quotient is identically 0 and num' vanishes there too
-        return Quot(Sum([Prod([self.num.diff(i), self.den]),
-                         Prod([Const(-1.0), self.num, self.den.diff(i)])]),
-                    Prod([self.den, self.den]))
-
-    def to_json(self):
-        return {"t": "quot", "num": self.num.to_json(), "den": self.den.to_json()}
-
 
 class Abs(CoefficientExpr):
     """|u| for a real-valued scalar subexpression u."""
@@ -278,29 +211,6 @@ class Abs(CoefficientExpr):
     def shift(self, eta):
         return Abs(self.arg.shift(eta))
 
-    def diff(self, i):
-        return Prod([Sign(self.arg), self.arg.diff(i)])
-
-    def to_json(self):
-        return {"t": "abs", "arg": self.arg.to_json()}
-
-
-class Sign(CoefficientExpr):
-    def __init__(self, arg: CoefficientExpr):
-        self.arg = as_expr(arg)
-
-    def eval(self, xi):
-        return np.sign(self.arg.eval(xi).real).astype(complex)
-
-    def shift(self, eta):
-        return Sign(self.arg.shift(eta))
-
-    def diff(self, i):
-        return Const(0.0)
-
-    def to_json(self):
-        return {"t": "sign", "arg": self.arg.to_json()}
-
 
 class Sqrt(CoefficientExpr):
     def __init__(self, arg: CoefficientExpr):
@@ -311,12 +221,6 @@ class Sqrt(CoefficientExpr):
 
     def shift(self, eta):
         return Sqrt(self.arg.shift(eta))
-
-    def diff(self, i):
-        return Quot(self.arg.diff(i), Prod([Const(2.0), Sqrt(self.arg)]))
-
-    def to_json(self):
-        return {"t": "sqrt", "arg": self.arg.to_json()}
 
 
 class Iota(CoefficientExpr):
@@ -331,64 +235,15 @@ class Iota(CoefficientExpr):
     def shift(self, eta):
         return Iota(self.arg.shift(eta))
 
-    def diff(self, i):
-        return Prod([IotaPrime(self.arg), self.arg.diff(i)])
-
-    def to_json(self):
-        return {"t": "iota", "arg": self.arg.to_json()}
-
-
-class IotaPrime(CoefficientExpr):
-    def __init__(self, arg: CoefficientExpr):
-        self.arg = as_expr(arg)
-
-    def eval(self, xi):
-        return iota_prime(self.arg.eval(xi).real).astype(complex)
-
-    def shift(self, eta):
-        return IotaPrime(self.arg.shift(eta))
-
-    def diff(self, i):
-        raise NotImplementedError("second derivative of the step is not provided")
-
-    def to_json(self):
-        return {"t": "iota_prime", "arg": self.arg.to_json()}
-
-
-def expr_from_json(d: dict) -> CoefficientExpr:
-    t = d["t"]
-    if t == "const":
-        return Const(complex(d["re"], d["im"]))
-    if t == "affine":
-        return Affine(d["w"], complex(d["re"], d["im"]))
-    if t == "quadshift":
-        return QuadShift(d["v"])
-    if t == "sum":
-        return Sum([expr_from_json(x) for x in d["terms"]])
-    if t == "prod":
-        return Prod([expr_from_json(x) for x in d["factors"]])
-    if t == "quot":
-        return Quot(expr_from_json(d["num"]), expr_from_json(d["den"]))
-    if t == "abs":
-        return Abs(expr_from_json(d["arg"]))
-    if t == "sign":
-        return Sign(expr_from_json(d["arg"]))
-    if t == "sqrt":
-        return Sqrt(expr_from_json(d["arg"]))
-    if t == "iota":
-        return Iota(expr_from_json(d["arg"]))
-    if t == "iota_prime":
-        return IotaPrime(expr_from_json(d["arg"]))
-    raise ValueError("unknown expression tag %r" % t)
-
 
 # -- symbols -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class XiGrid:
-    """Sample specification for the sup in class norms (a lower bound of the
-    true sup over R^d); beta is the weight exponent of the symbol class."""
+    """Sample points for the sup in class norms (a lower bound of the true sup
+    over R^d).  beta, the weight exponent of the symbol class, is kept for
+    callers that pass it but is no longer applied: class norms are unweighted."""
 
     points: np.ndarray  # (n, d)
     beta: float = 0.0
@@ -397,8 +252,7 @@ class XiGrid:
 class Symbol:
     """Finite-support frequency map theta -> coefficient expression."""
 
-    def __init__(self, coeffs: Mapping[FrequencyVector, CoefficientExpr],
-                 order: float = 0.0):
+    def __init__(self, coeffs: Mapping[FrequencyVector, CoefficientExpr]):
         clean = {}
         for th, ex in coeffs.items():
             ex = as_expr(ex)
@@ -408,7 +262,6 @@ class Symbol:
                 continue
             clean[th] = ex
         self.coeffs = clean
-        self.order = order
 
     def support(self) -> list[FrequencyVector]:
         return sorted(self.coeffs, key=lambda t: tuple(t.to_float()))
@@ -423,11 +276,10 @@ class Symbol:
         out = dict(self.coeffs)
         for th, ex in other.coeffs.items():
             out[th] = Sum([out[th], ex]) if th in out else ex
-        return Symbol(out, max(self.order, other.order))
+        return Symbol(out)
 
     def scale(self, c) -> "Symbol":
-        return Symbol({th: Prod([Const(c), ex]) for th, ex in self.coeffs.items()},
-                      self.order)
+        return Symbol({th: Prod([Const(c), ex]) for th, ex in self.coeffs.items()})
 
 
 def evaluate(sym: Symbol, x: np.ndarray, xi: np.ndarray) -> complex:
@@ -448,48 +300,16 @@ def compose(b: Symbol, g: Symbol) -> Symbol:
             chi = th + ph
             term = Prod([bex.shift(ph.to_float()), gex])
             out.setdefault(chi, []).append(term)
-    return Symbol({chi: Sum(ts) if len(ts) > 1 else ts[0] for chi, ts in out.items()},
-                  b.order + g.order)
+    return Symbol({chi: Sum(ts) if len(ts) > 1 else ts[0] for chi, ts in out.items()})
 
 
-def _multi_indices(d: int, s: int):
-    if s == 0:
-        yield ()
-        return
-    for total in range(s + 1):
-        for combo in _compositions(total, d):
-            yield combo
-
-
-def _compositions(total: int, d: int):
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, d - 1):
-            yield (first,) + rest
-
-
-def class_norm(sym: Symbol, alpha: float, l: float, s: int, grid: XiGrid) -> float:
-    """max_{|s|<=s} sum_theta <theta>^l sup_grid <xi>^{(-alpha+|s|)beta} |D^s bhat|."""
+def class_norm(sym: Symbol, grid: XiGrid) -> float:
+    """sum_theta sup_grid |bhat(theta, xi)|."""
     pts = np.asarray(grid.points, dtype=float)
-    d = pts.shape[-1]
-    xi_norm2 = (pts * pts).sum(axis=-1)
-    best = 0.0
-    for mi in _multi_indices(d, s):
-        order = sum(mi)
-        weight = (1.0 + xi_norm2) ** (0.5 * (-alpha + order) * grid.beta)
-        total = 0.0
-        for th, ex in sym.coeffs.items():
-            dex = ex
-            for i, k in enumerate(mi):
-                for _ in range(k):
-                    dex = dex.diff(i)
-            vals = np.abs(dex.eval(pts))
-            tn = (1.0 + float(th.norm_sq())) ** (0.5 * l)
-            total += tn * float((weight * vals).max(initial=0.0))
-        best = max(best, total)
-    return best
+    total = 0.0
+    for ex in sym.coeffs.values():
+        total += float(np.abs(ex.eval(pts)).max(initial=0.0))
+    return total
 
 
 def is_symmetric(sym: Symbol, grid: XiGrid, tol: float = 1e-12) -> bool:
@@ -533,10 +353,10 @@ def op_matrix(sym: Symbol, freqs: Sequence[FrequencyVector]) -> np.ndarray:
 
 def multiplication_symbol(fourier: Mapping[FrequencyVector, complex]) -> Symbol:
     """Symbol of multiplication by b(x) = sum bhat(theta) e_theta(x)."""
-    return Symbol({th: Const(c) for th, c in fourier.items()}, order=0.0)
+    return Symbol({th: Const(c) for th, c in fourier.items()})
 
 
 def laplace_symbol(d: int, basis) -> Symbol:
     """Symbol |xi|^2 of -Delta."""
     zero = FrequencyVector([(0, 0)] * d, basis)
-    return Symbol({zero: QuadShift(np.zeros(d))}, order=2.0)
+    return Symbol({zero: QuadShift(np.zeros(d))})

@@ -329,8 +329,7 @@ def random_family(n: int, degree: int, seed: int, scale: float = 0.1,
     rng = np.random.default_rng(seed)
     coeffs = []
     for k in range(degree + 1):
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        H = (A + A.conj().T) / 2.0
+        H = _random_hermitian(rng, n)
         coeffs.append(scale / r_ref**k * H / max(np.linalg.norm(H, 2), 1e-30))
     return MatrixFamily(tuple(coeffs))
 

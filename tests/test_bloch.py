@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -174,3 +176,77 @@ def test_translation_covariance(cos12_oracle, s, x1, x2):
         want = spectral_function(COS12_LAMS, x + s, x + s, COS12, 40, 256)
         got = spectral_function(COS12_LAMS, x, x, _shifted(COS12, s), 40, 256)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# -- golden values: d = 1 oracle and the reduced mathieu bloch/compare CSVs ------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "oracle_d1.json")
+MATHIEU_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                            "mathieu.json")
+# the sizes perfbench's cli_sweep runs bloch and compare at
+REDUCED = {"M_cut": 60, "N_k": 256, "ladder": {"min": 100.0, "max": 800.0, "count": 12}}
+GOLDEN_POINTS = [(0.0, 0.0), (math.pi / 2, math.pi / 2), (math.pi, math.pi), (0.3, 1.3)]
+EXACT_COLUMNS = {"lambda", "x", "y", "N_k", "M_cut"}
+GOLDEN_TOL = 1e-12
+
+
+def golden_oracle_d1(tmp_dir):
+    """Everything tests/golden/oracle_d1.json holds, computed afresh."""
+    from spectra_lab.cli import main
+
+    lams = np.geomspace(100.0, 800.0, 12)
+    oracle = BlochOracle1D({(1,): 0.2, (-1,): 0.2}, M_cut=60)
+    points = [{"x": x, "y": y, "values": oracle.evaluate(lams, x, y).tolist()}
+              for x, y in GOLDEN_POINTS]
+    with open(MATHIEU_JSON) as fh:
+        cfg = dict(json.load(fh), **REDUCED)
+    cfg_path = os.path.join(tmp_dir, "mathieu_reduced.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    csv = {}
+    for cmd in ("bloch", "compare"):
+        out = os.path.join(tmp_dir, cmd + ".csv")
+        assert main([cmd, "--config", cfg_path, "--out", out, "--seed", "11"]) == 0
+        with open(out) as fh:
+            csv[cmd] = fh.read()
+    return {"lambda": lams.tolist(), "oracle": points, "csv": csv}
+
+
+def _assert_csv_matches(got, want, cmd):
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert got_lines[0] == want_lines[0] and len(got_lines) == len(want_lines), cmd
+    header = want_lines[0].split(",")
+    for g_line, w_line in zip(got_lines[1:], want_lines[1:]):
+        g_cells, w_cells = g_line.split(","), w_line.split(",")
+        assert len(g_cells) == len(w_cells) == len(header), cmd
+        for col, g, w in zip(header, g_cells, w_cells):
+            if col in EXACT_COLUMNS:
+                assert g == w, "%s.%s: %s != %s" % (cmd, col, g, w)
+            else:
+                assert abs(float(g) - float(w)) <= GOLDEN_TOL, \
+                    "%s.%s: %s != %s" % (cmd, col, g, w)
+
+
+def test_oracle_d1_golden(tmp_path):
+    with open(GOLDEN) as fh:
+        want = json.load(fh)
+    got = golden_oracle_d1(str(tmp_path))
+    assert got["lambda"] == want["lambda"]
+    assert len(got["oracle"]) == len(want["oracle"])
+    for g, w in zip(got["oracle"], want["oracle"]):
+        assert (g["x"], g["y"]) == (w["x"], w["y"])
+        assert np.max(np.abs(np.array(g["values"]) - w["values"])) <= GOLDEN_TOL
+    for cmd in ("bloch", "compare"):
+        _assert_csv_matches(got["csv"][cmd], want["csv"][cmd], cmd)
+
+
+if __name__ == "__main__":
+    # Regenerate the golden file: PYTHONPATH=src python tests/test_bloch.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        payload = golden_oracle_d1(tmp)
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")

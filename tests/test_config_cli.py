@@ -42,18 +42,26 @@ def test_parse_valid_mathieu(tmp_path):
 
 def test_duplicate_theta_summed(tmp_path):
     """theta = +-1 listed twice at 0.1 is the potential with +-1 at 0.2, in
-    every subcommand that reads the potential."""
+    every subcommand that reads the potential; theta = +-1/2 listed at 0
+    does not enter the zone geometry of zones and gauge."""
     dup = dict(MATHIEU_CFG, frequencies=[
         {"theta": [t], "coeff": [0.1, 0.0]} for t in ("1", "-1", "1", "-1")])
+    zero = dict(MATHIEU_CFG, frequencies=MATHIEU_CFG["frequencies"] + [
+        {"theta": [t], "coeff": [0.0, 0.0]} for t in ("1/2", "-1/2")])
     paths = {"dup": _write(tmp_path, dup, "dup.json"),
+             "zero": _write(tmp_path, zero, "zero.json"),
              "merged": _write(tmp_path, MATHIEU_CFG, "merged.json")}
     out = str(tmp_path / "out")
     for cmd in ("heat", "compare", "bloch", "gauge", "zones"):
         texts = {}
         for key, path in paths.items():
+            if key == "zero" and cmd not in ("gauge", "zones"):
+                continue  # the oracles reject theta = 1/2 as off the lattice
             code = main([cmd, "--config", path, "--out", out, "--seed", "3"])
             texts[key] = (code, open(out, "rb").read())
         assert texts["dup"] == texts["merged"], cmd
+        if "zero" in texts:
+            assert texts["zero"] == texts["merged"], cmd
 
 
 def test_roundtrip_identity(tmp_path):
@@ -78,8 +86,12 @@ def test_unsupported_dimension_for_oracle(tmp_path):
     bad["x"] = [0.0, 0.0, 0.0]
     with pytest.raises(UnsupportedDimension):
         parse_config(_write(tmp_path, bad), command="bloch")
-    # fine for non-oracle commands
-    parse_config(_write(tmp_path, bad), command="zones")
+    # fine for non-oracle commands that take b = 0
+    parse_config(_write(tmp_path, bad), command="heat")
+    parse_config(_write(tmp_path, bad), command="validate")
+    # zones has no zone geometry without frequencies spanning R^d
+    with pytest.raises(Malformed):
+        parse_config(_write(tmp_path, bad), command="zones")
 
 
 def test_malformed_json(tmp_path):
@@ -132,6 +144,22 @@ def test_cli_exit_codes(tmp_path, capsys):
         path = _write(tmp_path, bad, "nonfinite.json")
         assert main(["heat", "--config", path]) == 2, field
         assert "config error: " + field in capsys.readouterr().err, field
+    # the frequencies with a nonzero coefficient must span R^d for the zone
+    # geometry: d = 2 with only +-e1, and b = 0; validate skips b = 0
+    axis_only = dict(MATHIEU_CFG, dimension=2, x=[0.0, 0.0], frequencies=[
+        {"theta": [t, "0"], "coeff": [0.2, 0.0]} for t in ("1", "-1")])
+    zero_b = dict(MATHIEU_CFG, frequencies=[
+        {"theta": [t], "coeff": [0.0, 0.0]} for t in ("1", "-1")])
+    for name, raw, commands in [("axis_only", axis_only, ("zones", "gauge", "validate")),
+                                ("zero_b", zero_b, ("zones", "gauge"))]:
+        path = _write(tmp_path, raw, name + ".json")
+        for cmd in commands:
+            assert main([cmd, "--config", path]) == 2, (name, cmd)
+            assert "to span R^" in capsys.readouterr().err, (name, cmd)
+    out = str(tmp_path / "validate.json")
+    assert main(["validate", "--config", _write(tmp_path, zero_b, "zero_b.json"),
+                 "--out", out]) == 0
+    assert "zone_partition" not in open(out).read()
     with pytest.raises(SystemExit) as exc:
         main(["bogus", "--config", cfgpath])
     assert exc.value.code == 2

@@ -432,21 +432,22 @@ def check_contour_identity(fam: MatrixFamily, interval: Sequence[float],
     dz = 1j * radius * np.exp(1j * phis) * (2.0 * math.pi / quad.n_contour)
 
     mu_nodes, mu_weights = _gauss_nodes(lam_lo, lam_hi, quad.n_mu)
-    Hs = [fam.H2(z) for z in zs]
-    fs = [np.asarray(f(z), dtype=complex) for z in zs]
-    gbars = [np.asarray(g(np.conj(z)), dtype=complex) for z in zs]
+    Hs = np.array([fam.H2(z) for z in zs])
+    fs = np.array([np.asarray(f(z), dtype=complex) for z in zs])
+    gconj = np.conj([np.asarray(g(np.conj(z)), dtype=complex) for z in zs])
     rhs = 0.0 + 0.0j
+    # one stacked svd and solve per mu node; stacking every (mu, z) at once
+    # would hold n_mu times as many matrices
     for mu, mw in zip(mu_nodes, mu_weights):
-        ring = 0.0 + 0.0j
-        for Hz, fz, gz, dzk in zip(Hs, fs, gbars, dz):
-            M = Hz - mu * np.eye(n)
-            sv_min = np.linalg.svd(M, compute_uv=False)[-1]
-            if sv_min < quad.min_sv:
-                raise ContourTooClose(
-                    "singular value %.3e below %.1e on the contour"
-                    % (sv_min, quad.min_sv))
-            ring += np.vdot(gz, np.linalg.solve(M, fz)) * dzk
-        rhs += mw * ring
+        Ms = Hs - mu * np.eye(n)
+        sv_min = np.linalg.svd(Ms, compute_uv=False)[:, -1]
+        close = np.flatnonzero(sv_min < quad.min_sv)
+        if close.size:
+            raise ContourTooClose(
+                "singular value %.3e below %.1e on the contour"
+                % (sv_min[close[0]], quad.min_sv))
+        sols = np.linalg.solve(Ms, fs[:, :, None])[:, :, 0]
+        rhs += mw * np.sum(np.einsum("ij,ij->i", gconj, sols) * dz)
     rhs = rhs / (2.0j * math.pi)
 
     return {

@@ -245,6 +245,20 @@ def test_oracle_within_midpoint_jitter(mathieu_oracle, x):
         assert np.max(np.abs(got - want)) <= 0.5 / Nk
 
 
+@pytest.mark.parametrize("b", [MATHIEU, COS12])
+def test_oracle_cache_deterministic(b):
+    """The grid and the per-(band, lambda) crossing nodes an oracle keeps give
+    the same bits as a fresh oracle's, and two fresh oracles agree bit for bit."""
+    def fresh():
+        return BlochOracle1D(b, M_cut=30).evaluate(PROPERTY_LAMS, 1.1)
+
+    warm = BlochOracle1D(b, M_cut=30)
+    warm.evaluate(PROPERTY_LAMS, 0.2)
+    warm.evaluate(PROPERTY_LAMS, 0.2, 2.5)
+    assert np.array_equal(fresh(), fresh())
+    assert np.array_equal(warm.evaluate(PROPERTY_LAMS, 1.1), fresh())
+
+
 # -- golden values: d = 1 oracle and the reduced mathieu bloch/compare CSVs ------
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "oracle_d1.json")

@@ -139,7 +139,9 @@ def test_contour_identity_random_family():
 def test_contour_too_close():
     # zero margin puts the contour through the eigenvalue crossing points
     quad = QuadratureConfig(margin=0.0, min_sv=1e-2)
-    with pytest.raises(ContourTooClose):
+    # names the first contour point, in (mu, z) order, below min_sv
+    msg = "^singular value 1.042e-03 below 1.0e-02 on the contour$"
+    with pytest.raises(ContourTooClose, match=msg):
         check_contour_identity(scalar_free_family(), (1.0, 4.0), quad=quad)
 
 

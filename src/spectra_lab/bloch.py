@@ -41,9 +41,10 @@ from .frequency import hermitian_violations
 def lattice_fourier(b: Mapping, d: int) -> dict:
     """Normalize a potential to {integer coord tuple: complex coeff}.
 
-    Accepts a mapping with tuple or FrequencyVector keys.  Raises
-    NonLatticeFrequencies unless all frequencies lie on Z^d, and then
-    NonHermitianPotential unless b is real (`hermitian_violations`; the
+    Accepts a mapping with tuple or FrequencyVector keys.  A theta whose
+    coefficient is 0 is not a frequency of b and is dropped unchecked.
+    Raises NonLatticeFrequencies unless all other frequencies lie on Z^d, and
+    then NonHermitianPotential unless b is real (`hermitian_violations`; the
     fibers read only theta > 0, so a non-real b would otherwise be made real
     without notice).
     """
@@ -51,6 +52,9 @@ def lattice_fourier(b: Mapping, d: int) -> dict:
         raise NonLatticeFrequencies("unsupported potential representation")
     out = {}
     for th, c in b.items():
+        c = complex(c)
+        if c == 0:
+            continue
         if hasattr(th, "coords"):
             if any(s != 0 for _, s in th.coords):
                 raise NonLatticeFrequencies("surd frequency %r" % (th,))
@@ -64,9 +68,7 @@ def lattice_fourier(b: Mapping, d: int) -> dict:
         key = tuple(key)
         if len(key) != d:
             raise NonLatticeFrequencies("frequency dimension mismatch")
-        c = complex(c)
-        if c != 0:
-            out[key] = out.get(key, 0.0 + 0.0j) + c
+        out[key] = out.get(key, 0.0 + 0.0j) + c
     bad = hermitian_violations(out)
     if bad:
         raise NonHermitianPotential(bad[0])

@@ -159,6 +159,14 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
         v = freq(coords, basis)
         table[v] = table[v] + coeff if v in table else coeff
     hermitian = hermitian_violations(table)
+    # the Bloch oracle needs b periodic on the lattice 2pi Z^d
+    if command in ("bloch", "compare") and surd is None:
+        for v in potential_frequencies(table):
+            if any(a.denominator != 1 for a, _ in v.coords):
+                violations.append(
+                    "command %r needs integer frequencies, got theta=[%s] "
+                    "with a nonzero coefficient"
+                    % (command, ", ".join(str(a) for a, _ in v.coords)))
     # the zone geometry needs the frequencies of b to span R^d; validate
     # skips its zone check for b = 0
     if command in ("zones", "gauge") or (command == "validate"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ def test_lattice_fourier_normalization():
     assert four == {(1,): 0.3 + 0j, (-1,): 0.3 + 0j}
     with pytest.raises(NonLatticeFrequencies):
         lattice_fourier({(0.5,): 1.0}, 1)
+    # a theta at coefficient 0 is no frequency of b, on the lattice or off it
+    half = freq([Fraction(1, 2)], GeneratorBasis(None))
+    assert lattice_fourier({**MATHIEU, (0.5,): 0.0, half: 0j}, 1) == four
     basis = GeneratorBasis(2)
     surd = freq([(0, 1)], basis)
     with pytest.raises(NonLatticeFrequencies):

@@ -43,7 +43,8 @@ def test_parse_valid_mathieu(tmp_path):
 def test_duplicate_theta_summed(tmp_path):
     """theta = +-1 listed twice at 0.1 is the potential with +-1 at 0.2, in
     every subcommand that reads the potential; theta = +-1/2 listed at 0
-    does not enter the zone geometry of zones and gauge."""
+    changes no output, neither the zone geometry of zones and gauge nor the
+    lattice the oracles of bloch and compare need."""
     dup = dict(MATHIEU_CFG, frequencies=[
         {"theta": [t], "coeff": [0.1, 0.0]} for t in ("1", "-1", "1", "-1")])
     zero = dict(MATHIEU_CFG, frequencies=MATHIEU_CFG["frequencies"] + [
@@ -55,13 +56,10 @@ def test_duplicate_theta_summed(tmp_path):
     for cmd in ("heat", "compare", "bloch", "gauge", "zones"):
         texts = {}
         for key, path in paths.items():
-            if key == "zero" and cmd not in ("gauge", "zones"):
-                continue  # the oracles reject theta = 1/2 as off the lattice
             code = main([cmd, "--config", path, "--out", out, "--seed", "3"])
             texts[key] = (code, open(out, "rb").read())
         assert texts["dup"] == texts["merged"], cmd
-        if "zero" in texts:
-            assert texts["zero"] == texts["merged"], cmd
+        assert texts["zero"] == texts["merged"], cmd
 
 
 def test_roundtrip_identity(tmp_path):
@@ -156,6 +154,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         for cmd in commands:
             assert main([cmd, "--config", path]) == 2, (name, cmd)
             assert "to span R^" in capsys.readouterr().err, (name, cmd)
+    # an off-lattice theta is a config error for the oracles when its
+    # coefficient is nonzero, and no frequency at all when it is 0
+    for coeff, code in ((0.0, 0), (0.1, 2)):
+        half = dict(MATHIEU_CFG, frequencies=MATHIEU_CFG["frequencies"] + [
+            {"theta": [t], "coeff": [coeff, 0.0]} for t in ("1/2", "-1/2")])
+        path = _write(tmp_path, half, "half.json")
+        for cmd in ("bloch", "compare"):
+            assert main([cmd, "--config", path, "--out", str(tmp_path / "h.csv")]) == code
+            err = capsys.readouterr().err
+            assert ("needs integer frequencies, got theta=[1/2]" in err) == bool(code), cmd
+        assert main(["heat", "--config", path, "--out", str(tmp_path / "h.json")]) == 0
     out = str(tmp_path / "validate.json")
     assert main(["validate", "--config", _write(tmp_path, zero_b, "zero_b.json"),
                  "--out", out]) == 0

@@ -226,20 +226,15 @@ def _eig_banded_k(k: float, ms: np.ndarray, four: dict, bw: int,
         out = eigh_tridiagonal(ab[0], off, eigvals_only=not vectors,
                                lapack_driver="stevd")
         w, v = out if vectors else (out, None)
-        if emax is not None:
-            keep = w <= emax
-            w, v = w[keep], (v[:, keep] if vectors else None)
-        return w, v
+        keep = w <= (np.inf if emax is None else emax)
+        return w[keep], (v[:, keep] if vectors else None)
     kw = {}
     if index is not None:
         kw = {"select": "i", "select_range": (index, index)}
     elif emax is not None:
         kw = {"select": "v", "select_range": (-np.inf, emax)}
-    if vectors:
-        w, v = eig_banded(ab, lower=True, **kw)
-        return w, v
-    w = eig_banded(ab, lower=True, eigvals_only=True, **kw)
-    return w, None
+    out = eig_banded(ab, lower=True, eigvals_only=not vectors, **kw)
+    return out if vectors else (out, None)
 
 
 def _wave_amp(vecs: np.ndarray, ms: np.ndarray, k: float, x: float) -> np.ndarray:
@@ -346,11 +341,6 @@ class BlochOracle1D:
             out[:, i] = (ux * np.conj(uy)).real
         return out
 
-    def _band_energy(self, n: int, k: float) -> float:
-        w, _ = _eig_banded_k(k, self.ms, self.four, self.bw, index=n,
-                             vectors=False)
-        return float(w[0])
-
     def evaluate(self, lams, x: float, y: Optional[float] = None) -> np.ndarray:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         lam_max = float(lams.max())
@@ -382,7 +372,8 @@ class BlochOracle1D:
         if hit is None:
             e0, eh = self._edges
             increasing = eh[n] > e0[n]
-            f = lambda k: self._band_energy(n, k) - lam
+            f = lambda k: _eig_banded_k(k, self.ms, self.four, self.bw, index=n,
+                                        vectors=False)[0][0] - lam
             kstar = brentq(f, 1e-12, 0.5 - 1e-12, xtol=1e-13)
             a, b = (0.0, kstar) if increasing else (kstar, 0.5)
             halfw = 0.5 * (b - a)

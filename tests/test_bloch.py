@@ -252,12 +252,14 @@ def test_oracle_within_midpoint_jitter(mathieu_oracle, x):
 @pytest.mark.parametrize("b", [MATHIEU, COS12])
 def test_oracle_cache_deterministic(b):
     """The grid and the per-(band, lambda) crossing nodes an oracle keeps give
-    the same bits as a fresh oracle's, and two fresh oracles agree bit for bit."""
+    the same bits as a fresh oracle's, and two fresh oracles agree bit for bit.
+    The first warm-up ladder sits 1 below the second, mostly inside the same
+    bands, so nodes kept for the wrong lambda would show."""
     def fresh():
         return BlochOracle1D(b, M_cut=30).evaluate(PROPERTY_LAMS, 1.1)
 
     warm = BlochOracle1D(b, M_cut=30)
-    warm.evaluate(PROPERTY_LAMS, 0.2)
+    warm.evaluate(PROPERTY_LAMS - 1.0, 0.2)
     warm.evaluate(PROPERTY_LAMS, 0.2, 2.5)
     assert np.array_equal(fresh(), fresh())
     assert np.array_equal(warm.evaluate(PROPERTY_LAMS, 1.1), fresh())

@@ -154,17 +154,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         for cmd in commands:
             assert main([cmd, "--config", path]) == 2, (name, cmd)
             assert "to span R^" in capsys.readouterr().err, (name, cmd)
-    # an off-lattice theta is a config error for the oracles when its
-    # coefficient is nonzero, and no frequency at all when it is 0
-    for coeff, code in ((0.0, 0), (0.1, 2)):
-        half = dict(MATHIEU_CFG, frequencies=MATHIEU_CFG["frequencies"] + [
-            {"theta": [t], "coeff": [coeff, 0.0]} for t in ("1/2", "-1/2")])
-        path = _write(tmp_path, half, "half.json")
-        for cmd in ("bloch", "compare"):
-            assert main([cmd, "--config", path, "--out", str(tmp_path / "h.csv")]) == code
-            err = capsys.readouterr().err
-            assert ("needs integer frequencies, got theta=[1/2]" in err) == bool(code), cmd
-        assert main(["heat", "--config", path, "--out", str(tmp_path / "h.json")]) == 0
+    # a nonzero off-lattice theta is a config error for the oracles only; at
+    # coefficient 0 it is no frequency (test_duplicate_theta_summed)
+    half = dict(MATHIEU_CFG, frequencies=MATHIEU_CFG["frequencies"] + [
+        {"theta": [t], "coeff": [0.1, 0.0]} for t in ("1/2", "-1/2")])
+    path = _write(tmp_path, half, "half.json")
+    for cmd in ("bloch", "compare"):
+        assert main([cmd, "--config", path]) == 2, cmd
+        assert "needs integer frequencies, got theta=[1/2]" in capsys.readouterr().err, cmd
+    assert main(["heat", "--config", path, "--out", str(tmp_path / "h.json")]) == 0
     out = str(tmp_path / "validate.json")
     assert main(["validate", "--config", _write(tmp_path, zero_b, "zero_b.json"),
                  "--out", out]) == 0

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectra_lab.bloch import (BlochOracle1D, build_fiber, fiber_spectrum,
-                               free_lds_d1, free_lds_d2, lattice_fourier,
-                               spectral_function)
+from spectra_lab.bloch import (BlochOracle1D, _fermi_sums, build_fiber,
+                               fiber_spectrum, free_lds_d1, free_lds_d2,
+                               lattice_fourier, spectral_function)
 from spectra_lab.errors import (NonHermitianPotential, NonLatticeFrequencies,
                                 TruncationCeiling)
 from spectra_lab.frequency import GeneratorBasis, freq
@@ -154,13 +154,14 @@ def cos12_oracle():
 
 
 def _shifted(b, s):
-    """bhat_s(theta) = bhat(theta) e^{i theta s}, so b_s(x) = b(x + s); the
-    theta < 0 coefficient is the exact conjugate of its partner."""
+    """bhat_s(theta) = bhat(theta) e^{i <theta, s>}, so b_s(x) = b(x + s), in
+    any d; the coefficient at -theta is the exact conjugate of its partner."""
     out = {}
-    for (t,), c in b.items():
-        if t > 0:
-            out[(t,)] = c * np.exp(1j * t * s)
-            out[(-t,)] = np.conj(out[(t,)])
+    for th, c in b.items():
+        neg = tuple(-t for t in th)
+        if th > neg:
+            out[th] = c * np.exp(1j * sum(t * si for t, si in zip(th, np.atleast_1d(s))))
+            out[neg] = np.conj(out[th])
     return out
 
 
@@ -263,6 +264,96 @@ def test_oracle_cache_deterministic(b):
     warm.evaluate(PROPERTY_LAMS, 0.2, 2.5)
     assert np.array_equal(fresh(), fresh())
     assert np.array_equal(warm.evaluate(PROPERTY_LAMS, 1.1), fresh())
+
+
+# -- d = 2 midpoint ---------------------------------------------------------------
+
+AXES2D_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "axes2d.json")
+# the sizes perfbench's cli_sweep runs the d = 2 bloch and compare at
+AXES2D_REDUCED = {"M_cut": 8, "N_k": 8, "ladder": {"min": 2.0, "max": 16.0, "count": 8}}
+AXES2D_LAMS = np.geomspace(2.0, 16.0, 8)
+AXES2D = {(1, 0): 0.3, (-1, 0): 0.3, (0, 1): 0.25, (0, -1): 0.25}
+
+
+def separable_midpoint_d2(lams, x, y, a, c, M_cut, Nk):
+    """The plain-midpoint d = 2 e_lambda(x, y) for bhat(+-e1) = a and
+    bhat(+-e2) = c.  On the square index set the fiber is
+    H1(k1) (x) I + I (x) H2(k2), so its eigenpairs are the sums E1_i + E2_j
+    of d = 1 energies, with amplitudes u1_i(x1) u2_j(x2)."""
+    ms = np.arange(-M_cut, M_cut + 1)
+    ks = (np.arange(Nk) + 0.5) / Nk - 0.5
+    off = np.eye(ms.size, k=1) + np.eye(ms.size, k=-1)
+
+    def fibers(coef, xc, yc):
+        out = []
+        for k in ks:
+            E, U = np.linalg.eigh(np.diag((k + ms) ** 2) + coef * off)
+            out.append((E, np.exp(1j * (k + ms) * xc) @ U,
+                        np.exp(1j * (k + ms) * yc) @ U))
+        return out
+
+    acc = np.zeros(lams.shape)
+    for E1, ux1, uy1 in fibers(a, x[0], y[0]):
+        for E2, ux2, uy2 in fibers(c, x[1], y[1]):
+            w = np.add.outer(E1, E2).ravel()
+            contrib = (np.outer(ux1, ux2) * np.conj(np.outer(uy1, uy2))).real.ravel()
+            acc += 0.5 * _fermi_sums(w, contrib, lams)
+    return acc / Nk ** 2 / (2 * math.pi) ** 2
+
+
+@pytest.mark.parametrize("Nk", [7, 8])
+@pytest.mark.parametrize("y", [(0.0, 0.0), (0.7, -0.4)])
+def test_midpoint_d2_separable(Nk, y):
+    """The d = 2 midpoint against the double sum over d = 1 eigenpairs, on the
+    reduced axes2d potential; an odd N_k puts k = 0 on the grid."""
+    x = np.zeros(2)
+    want = separable_midpoint_d2(AXES2D_LAMS, x, y, 0.3, 0.25, 8, Nk)
+    got = spectral_function(AXES2D_LAMS, x, np.array(y), AXES2D, 8, Nk, d=2)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_midpoint_d2_translation_covariance():
+    """e^{b_s}_lambda(x, y) = e^b_lambda(x + s, y + s) in d = 2, through the
+    complex fiber: b has +-e1, +-e2 and +-(1, 1)."""
+    b = {(1, 0): 0.2, (-1, 0): 0.2, (0, 1): 0.15, (0, -1): 0.15,
+         (1, 1): 0.1, (-1, -1): 0.1}
+    s = np.array([0.7, -1.9])
+    lams = np.geomspace(2.0, 9.0, 5)
+    for x, y in (((0.3, 1.1), (0.3, 1.1)), ((0.3, 1.1), (1.2, -0.5))):
+        x, y = np.array(x), np.array(y)
+        want = spectral_function(lams, x + s, y + s, b, 6, 4, d=2)
+        got = spectral_function(lams, x, y, _shifted(b, s), 6, 4, d=2)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_cli_bloch_compare_axes2d(tmp_path):
+    """bloch and compare on the reduced axes2d config: the bloch CSV matches the
+    separable reference, and compare's N_oracle is the same midpoint."""
+    from spectra_lab.cli import main
+
+    with open(AXES2D_JSON) as fh:
+        cfg = dict(json.load(fh), **AXES2D_REDUCED)
+    cfg_path = str(tmp_path / "axes2d_reduced.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    rows = {}
+    for cmd in ("bloch", "compare"):
+        out = str(tmp_path / (cmd + ".csv"))
+        assert main([cmd, "--config", cfg_path, "--out", out]) == 0
+        with open(out) as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 1 + len(AXES2D_LAMS)
+        header = lines[0].split(",")
+        rows[cmd] = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    want = separable_midpoint_d2(AXES2D_LAMS, np.zeros(2), np.zeros(2),
+                                 0.3, 0.25, 8, 8)
+    got = np.array([float(r["e_lambda"]) for r in rows["bloch"]])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert [r["lambda"] for r in rows["compare"]] == [r["lambda"] for r in rows["bloch"]]
+    for r, e in zip(rows["compare"], got):
+        assert float(r["N_oracle"]) == e
+        assert abs(float(r["R_0"]) - (e - float(r["N_expansion_L0"]))) <= 1e-12
 
 
 # -- golden values: d = 1 oracle and the reduced mathieu bloch/compare CSVs ------

@@ -14,17 +14,25 @@ Two quadratures are provided:
     complete-band midpoint is O(Nh^-2): 1.7e-7 at b = 0, Nh = 128,
     |x - y| = 1 on lambda in [50, 800].
 
-In d = 1 a fiber is banded with half-bandwidth max |theta|.  It is real
-whenever every Fourier coefficient is real (every even potential); a real
+A fiber is real whenever every Fourier coefficient is real (every even
+potential).  In d = 1 it is banded with half-bandwidth max |theta|; a real
 tridiagonal fiber (a single cosine, or b = 0) that needs every eigenpair below
 a cut is solved whole by divide and conquer (LAPACK stevd) and then cut.
 BlochOracle1D keeps the grid eigenvectors and, per (band, lambda), the
 crossing point and the Gauss-node eigenvectors of the crossing band, so a
-later point x, y only forms amplitudes.
+later point x, y only forms amplitudes.  In d = 2 the fiber is dense on the
+square |m_1|, |m_2| <= M_cut: the coupling bhat(m_i - m_j) is built once per
+call, each k adds |k + m|^2 on its diagonal, and only the eigenpairs below
+the cut are solved (LAPACK syevr / heevr).
+
+For real b, E(-k) = E(k) and u_{-k} = conj u_k, so both midpoint grids solve
+half the k-points, each standing for itself and -k; an odd grid's k = 0 is
+its own partner and counts once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,32 +97,27 @@ class BlochSpectrum:
     vectors: np.ndarray    # columns, unit-normalized
 
 
-def _index_set(d: int, M_cut: int) -> list:
-    rng = range(-M_cut, M_cut + 1)
-    if d == 1:
-        return [(m,) for m in rng]
-    return [(m1, m2) for m1 in rng for m2 in rng]
+def _coupling(four: dict, M_cut: int, d: int):
+    """The square index set (rows m_i of an int array, last coordinate
+    fastest) and the k-independent part V[i, j] = bhat(m_i - m_j) of every
+    fiber on it; V is real when every coefficient is."""
+    marr = np.array(list(itertools.product(range(-M_cut, M_cut + 1), repeat=d)))
+    real = all(c.imag == 0 for c in four.values())
+    V = np.zeros((len(marr), len(marr)), dtype=float if real else complex)
+    stride = (2 * M_cut + 1) ** np.arange(d - 1, -1, -1)
+    for th, c in four.items():
+        j = np.nonzero((np.abs(marr + th) <= M_cut).all(axis=1))[0]
+        V[j + stride @ th, j] = c.real if real else c
+    return marr, V
 
 
 def build_fiber(k, b, M_cut: int, d: Optional[int] = None) -> FiberMatrix:
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if d is None:
         d = k.size
-    four = lattice_fourier(b, d)
-    idx = _index_set(d, M_cut)
-    pos = {m: i for i, m in enumerate(idx)}
-    n = len(idx)
-    M = np.zeros((n, n), dtype=complex)
-    for i, m in enumerate(idx):
-        km = k + np.array(m, dtype=float)
-        M[i, i] = float(km @ km)
-    for th, c in four.items():
-        for j, m in enumerate(idx):
-            mp = tuple(mi + ti for mi, ti in zip(m, th))
-            i = pos.get(mp)
-            if i is not None:
-                M[i, j] += c
-    return FiberMatrix(k=k, indices=idx, matrix=M)
+    marr, M = _coupling(lattice_fourier(b, d), M_cut, d)
+    M[np.diag_indices_from(M)] += ((k + marr) ** 2).sum(axis=1)
+    return FiberMatrix(k=k, indices=[tuple(m) for m in marr.tolist()], matrix=M)
 
 
 def fiber_spectrum(fiber: FiberMatrix) -> BlochSpectrum:
@@ -131,6 +134,18 @@ def _check_ceiling(lam_max: float, M_cut: int):
 
 def _midpoint_grid(Nk: int) -> np.ndarray:
     return (np.arange(Nk) + 0.5) / Nk - 0.5
+
+
+def _paired_grid(Nk: int, d: int):
+    """The second half of the lexicographic d-dimensional midpoint grid, whose
+    point p has its mirror -k at Nk^d - 1 - p, with the weights that make
+    sum of weight * _fermi_sums the averaged count over the whole grid: 1 for a
+    k != 0 (2 for k and -k, 1/2 for averaging), 1/2 for an odd grid's k = 0."""
+    pts = np.array(list(itertools.product(_midpoint_grid(Nk), repeat=d)))
+    half = pts[len(pts) // 2:]
+    wts = np.ones(len(half))
+    wts[0] = 0.5 if Nk % 2 else 1.0
+    return half, wts
 
 
 # -- free-potential fast paths (exact grid-point counting) ---------------------
@@ -188,7 +203,7 @@ def spectral_function(lam, x, y, b, M_cut: int, Nk: int, d: int = 1):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if not four:
-        if np.allclose(x, y):
+        if np.array_equal(x, y):
             vals = free_lds_d1(lams, Nk) if d == 1 else free_lds_d2(lams, Nk)
             return vals if np.ndim(lam) else float(vals[0])
     if d == 1:
@@ -237,9 +252,9 @@ def _eig_banded_k(k: float, ms: np.ndarray, four: dict, bw: int,
     return out if vectors else (out, None)
 
 
-def _wave_amp(vecs: np.ndarray, ms: np.ndarray, k: float, x: float) -> np.ndarray:
-    """sum_m e^{i(k+m)x} v_m per column; real vectors stay real in the products."""
-    phase = (k + ms) * x
+def _wave_amp(vecs: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """sum_m e^{i phase_m} v_m per column, phase_m = <k + m, x>; real vectors
+    stay real in the products."""
     return np.cos(phase) @ vecs + 1j * (np.sin(phase) @ vecs)
 
 
@@ -257,39 +272,29 @@ def _fermi_sums(w: np.ndarray, contrib: np.ndarray, lams: np.ndarray) -> np.ndar
 def _midpoint_d1(lams, x, y, four, M_cut, Nk):
     ms, bw = _banded_rep(four, M_cut)
     emax = float(lams.max()) * 1.0000001 + 1.0
-    ks = _midpoint_grid(Nk)
-    half = ks[ks > 0]  # pair symmetry k <-> -k for real potentials
     acc = np.zeros(lams.shape)
     xv, yv = float(x[0]), float(y[0])
-    for k in half:
+    for (k,), wt in zip(*_paired_grid(Nk, 1)):
         w, v = _eig_banded_k(k, ms, four, bw, emax=emax)
-        ux = _wave_amp(v, ms, k, xv)
-        uy = ux if yv == xv else _wave_amp(v, ms, k, yv)
-        contrib = (ux * np.conj(uy)).real  # -k partner adds the conjugate
-        acc += _fermi_sums(w, contrib, lams)  # x2 from symmetry, /2 from averaging
+        ux = _wave_amp(v, (k + ms) * xv)
+        uy = ux if yv == xv else _wave_amp(v, (k + ms) * yv)
+        acc += wt * _fermi_sums(w, (ux * np.conj(uy)).real, lams)
     return acc / Nk / (2 * math.pi)
 
 
 def _midpoint_d2(lams, x, y, four, M_cut, Nk):
-    idx = _index_set(2, M_cut)
-    marr = np.array(idx, dtype=float)
+    marr, V = _coupling(four, M_cut, 2)
+    diag = np.diag_indices_from(V)
     emax = float(lams.max()) * 1.0000001 + 1.0
-    ks = _midpoint_grid(Nk)
     acc = np.zeros(lams.shape)
-    diag = np.allclose(x, y)
-    for k1 in ks:
-        for k2 in ks:
-            k = np.array([k1, k2])
-            fib = build_fiber(k, four, M_cut, d=2)
-            w, v = eigh(fib.matrix)
-            keep = w <= emax
-            w = w[keep]
-            v = v[:, keep]
-            phx = np.exp(1j * (marr + k) @ x)
-            ux = phx @ v
-            uy = ux if diag else (np.exp(1j * (marr + k) @ y) @ v)
-            contrib = (ux * np.conj(uy)).real
-            acc += 0.5 * _fermi_sums(w, contrib, lams)
+    for k, wt in zip(*_paired_grid(Nk, 2)):
+        M = V.copy()
+        M[diag] += ((k + marr) ** 2).sum(axis=1)
+        w, v = eigh(M, overwrite_a=True, check_finite=False,
+                    subset_by_value=(-np.inf, emax), driver="evr")
+        ux = _wave_amp(v, (k + marr) @ x)
+        uy = ux if np.array_equal(x, y) else _wave_amp(v, (k + marr) @ y)
+        acc += wt * _fermi_sums(w, (ux * np.conj(uy)).real, lams)
     return acc / Nk**2 / (2 * math.pi) ** 2
 
 
@@ -336,8 +341,8 @@ class BlochOracle1D:
         out = np.empty((nb, self.Nh))
         for i, (w, v) in enumerate(self._grid_spec):
             k = float(self.kgrid[i])
-            ux = _wave_amp(v[:, :nb], self.ms, k, x)
-            uy = ux if y == x else _wave_amp(v[:, :nb], self.ms, k, y)
+            ux = _wave_amp(v[:, :nb], (k + self.ms) * x)
+            uy = ux if y == x else _wave_amp(v[:, :nb], (k + self.ms) * y)
             out[:, i] = (ux * np.conj(uy)).real
         return out
 

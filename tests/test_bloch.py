@@ -243,9 +243,10 @@ def test_oracle_free_offdiagonal_second_order(free_oracles, x, r):
 @given(POINT)
 def test_oracle_within_midpoint_jitter(mathieu_oracle, x):
     """The plain midpoint grid carries an O(1/N_k) error from the sharp
-    eigenvalue cut; measured up to 0.147 / N_k on this ladder."""
+    eigenvalue cut; measured up to 0.147 / N_k on this ladder.  An odd N_k
+    puts k = 0 on the grid, a point without a -k partner."""
     want = mathieu_oracle.evaluate(PROPERTY_LAMS, x)
-    for Nk in (256, 1024):
+    for Nk in (255, 256, 1024):
         got = spectral_function(PROPERTY_LAMS, x, x, MATHIEU, 30, Nk)
         assert np.max(np.abs(got - want)) <= 0.5 / Nk
 
@@ -325,6 +326,23 @@ def test_midpoint_d2_translation_covariance():
         want = spectral_function(lams, x + s, y + s, b, 6, 4, d=2)
         got = spectral_function(lams, x, y, _shifted(b, s), 6, 4, d=2)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_nearby_points_not_merged():
+    """x and y 9e-4 apart are two points, not one (np.allclose would merge
+    them): e_lambda(x, y) matches the pair translated to the origin, with b
+    translated too, in d = 1 at b = 0 and in d = 2 on the axes2d b."""
+    x, y = 100.0, 100.0009
+    got = spectral_function(400.0, x, y, {}, 60, 256)
+    assert abs(got - spectral_function(400.0, 0.0, y - x, {}, 60, 256)) <= 1e-9
+    assert abs(got - spectral_function(400.0, x, x, {}, 60, 256)) > 1e-4
+    x, y = np.array([100.0, 0.0]), np.array([100.0009, 0.0])
+    got = spectral_function(AXES2D_LAMS, x, y, AXES2D, 8, 4, d=2)
+    want = spectral_function(AXES2D_LAMS, np.zeros(2), y - x, _shifted(AXES2D, x),
+                             8, 4, d=2)
+    assert np.max(np.abs(got - want)) <= 1e-9
+    assert np.max(np.abs(got - spectral_function(AXES2D_LAMS, x, x, AXES2D, 8, 4,
+                                                 d=2))) > 1e-6
 
 
 def test_cli_bloch_compare_axes2d(tmp_path):

@@ -137,10 +137,10 @@ def _midpoint_grid(Nk: int) -> np.ndarray:
 
 
 def _paired_grid(Nk: int, d: int):
-    """The second half of the lexicographic d-dimensional midpoint grid, whose
-    point p has its mirror -k at Nk^d - 1 - p, with the weights that make
-    sum of weight * _fermi_sums the averaged count over the whole grid: 1 for a
-    k != 0 (2 for k and -k, 1/2 for averaging), 1/2 for an odd grid's k = 0."""
+    """Half of the d-dimensional midpoint grid and its weights.  Lexicographic
+    point p mirrors to -k at Nk^d - 1 - p, so the second half stands for the
+    whole grid: weight 1 for k != 0 (2 for k and -k times the 1/2 that averages
+    the two counts of _fermi_sums), 1/2 for an odd grid's k = 0."""
     pts = np.array(list(itertools.product(_midpoint_grid(Nk), repeat=d)))
     half = pts[len(pts) // 2:]
     wts = np.ones(len(half))
@@ -284,16 +284,17 @@ def _midpoint_d1(lams, x, y, four, M_cut, Nk):
 
 def _midpoint_d2(lams, x, y, four, M_cut, Nk):
     marr, V = _coupling(four, M_cut, 2)
-    diag = np.diag_indices_from(V)
+    ii = np.diag_indices_from(V)
     emax = float(lams.max()) * 1.0000001 + 1.0
     acc = np.zeros(lams.shape)
+    diag = np.array_equal(x, y)
     for k, wt in zip(*_paired_grid(Nk, 2)):
         M = V.copy()
-        M[diag] += ((k + marr) ** 2).sum(axis=1)
+        M[ii] += ((k + marr) ** 2).sum(axis=1)
         w, v = eigh(M, overwrite_a=True, check_finite=False,
                     subset_by_value=(-np.inf, emax), driver="evr")
         ux = _wave_amp(v, (k + marr) @ x)
-        uy = ux if np.array_equal(x, y) else _wave_amp(v, (k + marr) @ y)
+        uy = ux if diag else _wave_amp(v, (k + marr) @ y)
         acc += wt * _fermi_sums(w, (ux * np.conj(uy)).real, lams)
     return acc / Nk**2 / (2 * math.pi) ** 2
 

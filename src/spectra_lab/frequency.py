@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ class GeneratorBasis:
 class FrequencyVector:
     """Exact d-dimensional frequency; component i is coords[i][0] + coords[i][1]*sqrt(D)."""
 
-    __slots__ = ("coords", "basis", "_hash")
+    __slots__ = ("coords", "basis", "_hash", "_float")
 
     def __init__(self, coords, basis: GeneratorBasis):
         rows = []
@@ -58,6 +59,7 @@ class FrequencyVector:
         object.__setattr__(self, "coords", tuple(rows))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_hash", hash((self.coords, basis.surd_D)))
+        object.__setattr__(self, "_float", None)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("FrequencyVector is immutable")
@@ -71,7 +73,12 @@ class FrequencyVector:
         return [QSurd(a, b, D if b != 0 else D) for a, b in self.coords]
 
     def to_float(self) -> np.ndarray:
-        return np.array([float(c) for c in self.components()])
+        """The float view, computed once; the array is read-only."""
+        if self._float is None:
+            f = np.array([float(c) for c in self.components()])
+            f.flags.writeable = False
+            object.__setattr__(self, "_float", f)
+        return self._float
 
     def is_zero(self) -> bool:
         return all(a == 0 and b == 0 for a, b in self.coords)
@@ -159,9 +166,15 @@ class FrequencySet:
         rows = [v.components() for v in self.elements if not v.is_zero()]
         return rank(rows) if rows else 0
 
+    @cached_property
+    def _nonzero(self) -> tuple:
+        return tuple(sorted((v for v in self.elements if not v.is_zero()),
+                            key=lambda v: tuple(map(float, v.to_float()))))
+
     def nonzero(self) -> list[FrequencyVector]:
-        return sorted((v for v in self.elements if not v.is_zero()),
-                      key=lambda v: tuple(map(float, v.to_float())))
+        """The nonzero elements sorted by their float view (a fresh list over
+        a cached tuple)."""
+        return list(self._nonzero)
 
     def zero(self) -> FrequencyVector:
         return FrequencyVector([(0, 0)] * self.dimension, self.basis)

@@ -7,6 +7,8 @@ symbolic in xi.  Evaluation is vectorized: eval accepts xi of shape (..., d).
 
 from __future__ import annotations
 
+import struct
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -41,17 +43,68 @@ def iota(z):
     return np.where(z <= _Z0, 1.0, np.where(z >= _Z1, 0.0, s))
 
 
-# -- expression trees ----------------------------------------------------------
+# -- expression DAG ------------------------------------------------------------
+# Nodes are interned: building a node whose type, exact parameters (floats
+# compared by their bytes, arrays by shape and bytes) and children match a
+# live node returns that node, so equal subexpressions are stored once and a
+# symbol's coefficients form a DAG.  The intern table holds its nodes weakly;
+# a key holds the children themselves, which their parent keeps alive anyway.
+
+
+def _bits(c: complex) -> bytes:
+    return struct.pack("<2d", c.real, c.imag)
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 class CoefficientExpr:
-    """Base node; subclasses implement eval and shift."""
+    """Interned immutable node.  A subclass names its fields in _fields (and
+    __slots__), builds them and their intern key in _make, and implements _eval (values
+    from its children's memoised values) and _shift."""
+
+    __slots__ = ("_shifts", "__weakref__")
+    _interned = weakref.WeakValueDictionary()
+
+    def __new__(cls, *args):
+        fields, key = cls._make(*args)
+        key = (cls,) + key
+        node = CoefficientExpr._interned.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_shifts", None)
+            CoefficientExpr._interned[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s nodes are immutable" % type(self).__name__)
 
     def eval(self, xi: np.ndarray):
-        raise NotImplementedError
+        """Values at xi of shape (..., d); every node of the DAG below self is
+        evaluated once per call."""
+        return self._memo(np.asarray(xi, dtype=float), {})
+
+    def _memo(self, xi, memo):
+        v = memo.get(self)
+        if v is None:
+            v = memo[self] = self._eval(xi, memo)
+        return v
 
     def shift(self, eta: np.ndarray) -> "CoefficientExpr":
-        raise NotImplementedError
+        """The node of xi -> self(xi + eta), memoised per exact eta."""
+        eta = np.asarray(eta, dtype=float)
+        key = (eta.shape, eta.tobytes())
+        if self._shifts is None:
+            object.__setattr__(self, "_shifts", {})
+        out = self._shifts.get(key)
+        if out is None:
+            out = self._shifts[key] = self._shift(eta)
+        return out
 
     def __add__(self, other):
         return Sum([self, as_expr(other)])
@@ -77,11 +130,14 @@ def as_expr(x) -> CoefficientExpr:
 
 
 class Const(CoefficientExpr):
-    def __init__(self, c):
-        self.c = complex(c)
+    __slots__ = _fields = ("c",)
 
-    def eval(self, xi):
-        xi = np.asarray(xi, dtype=float)
+    @staticmethod
+    def _make(c):
+        c = complex(c)
+        return (c,), (_bits(c),)
+
+    def _eval(self, xi, memo):
         return np.full(xi.shape[:-1], self.c, dtype=complex)
 
     def shift(self, eta):
@@ -91,35 +147,43 @@ class Const(CoefficientExpr):
 class Affine(CoefficientExpr):
     """<w, xi> + c with real w and complex c."""
 
-    def __init__(self, w, c=0.0):
-        self.w = np.asarray(w, dtype=float)
-        self.c = complex(c)
+    __slots__ = _fields = ("w", "c")
 
-    def eval(self, xi):
-        xi = np.asarray(xi, dtype=float)
+    @staticmethod
+    def _make(w, c=0.0):
+        w, c = _frozen(w), complex(c)
+        return (w, c), (w.shape, w.tobytes(), _bits(c))
+
+    def _eval(self, xi, memo):
         return (xi @ self.w).astype(complex) + self.c
 
-    def shift(self, eta):
-        return Affine(self.w, self.c + float(np.asarray(eta, dtype=float) @ self.w))
+    def _shift(self, eta):
+        return Affine(self.w, self.c + float(eta @ self.w))
 
 
 class QuadShift(CoefficientExpr):
     """|xi + v|^2."""
 
-    def __init__(self, v):
-        self.v = np.asarray(v, dtype=float)
+    __slots__ = _fields = ("v",)
 
-    def eval(self, xi):
-        xi = np.asarray(xi, dtype=float)
+    @staticmethod
+    def _make(v):
+        v = _frozen(v)
+        return (v,), (v.shape, v.tobytes())
+
+    def _eval(self, xi, memo):
         z = xi + self.v
         return ((z * z).sum(axis=-1)).astype(complex)
 
-    def shift(self, eta):
-        return QuadShift(self.v + np.asarray(eta, dtype=float))
+    def _shift(self, eta):
+        return QuadShift(self.v + eta)
 
 
 class Sum(CoefficientExpr):
-    def __init__(self, terms: Iterable[CoefficientExpr]):
+    __slots__ = _fields = ("terms",)
+
+    @staticmethod
+    def _make(terms: Iterable[CoefficientExpr]):
         flat = []
         const = 0.0 + 0.0j
         for t in terms:
@@ -132,20 +196,24 @@ class Sum(CoefficientExpr):
                 flat.append(t)
         if const != 0 or not flat:
             flat.append(Const(const))
-        self.terms = flat
+        flat = tuple(flat)
+        return (flat,), flat
 
-    def eval(self, xi):
-        acc = self.terms[0].eval(xi)
+    def _eval(self, xi, memo):
+        acc = self.terms[0]._memo(xi, memo)
         for t in self.terms[1:]:
-            acc = acc + t.eval(xi)
+            acc = acc + t._memo(xi, memo)
         return acc
 
-    def shift(self, eta):
+    def _shift(self, eta):
         return Sum([t.shift(eta) for t in self.terms])
 
 
 class Prod(CoefficientExpr):
-    def __init__(self, factors: Iterable[CoefficientExpr]):
+    __slots__ = _fields = ("factors",)
+
+    @staticmethod
+    def _make(factors: Iterable[CoefficientExpr]):
         flat = []
         const = 1.0 + 0.0j
         for f in factors:
@@ -164,19 +232,20 @@ class Prod(CoefficientExpr):
             flat = []
         if const != 1 or not flat:
             flat.insert(0, Const(const))
-        self.factors = flat
+        flat = tuple(flat)
+        return (flat,), flat
 
     def is_zero_const(self):
         return len(self.factors) == 1 and isinstance(self.factors[0], Const) \
             and self.factors[0].c == 0
 
-    def eval(self, xi):
-        acc = self.factors[0].eval(xi)
+    def _eval(self, xi, memo):
+        acc = self.factors[0]._memo(xi, memo)
         for f in self.factors[1:]:
-            acc = acc * f.eval(xi)
+            acc = acc * f._memo(xi, memo)
         return acc
 
-    def shift(self, eta):
+    def _shift(self, eta):
         return Prod([f.shift(eta) for f in self.factors])
 
 
@@ -184,56 +253,61 @@ class Quot(CoefficientExpr):
     """num/den with the convention 0/0 = 0: numerator is evaluated first and
     wherever it vanishes the quotient is 0 regardless of the denominator."""
 
-    def __init__(self, num: CoefficientExpr, den: CoefficientExpr):
-        self.num = as_expr(num)
-        self.den = as_expr(den)
+    __slots__ = _fields = ("num", "den")
 
-    def eval(self, xi):
-        n = self.num.eval(xi)
-        d = self.den.eval(xi)
+    @staticmethod
+    def _make(num: CoefficientExpr, den: CoefficientExpr):
+        pair = (as_expr(num), as_expr(den))
+        return pair, pair
+
+    def _eval(self, xi, memo):
+        n = self.num._memo(xi, memo)
+        d = self.den._memo(xi, memo)
         with np.errstate(divide="ignore", invalid="ignore"):
             q = n / d
         return np.where(n != 0, q, 0.0 + 0.0j)
 
-    def shift(self, eta):
+    def _shift(self, eta):
         return Quot(self.num.shift(eta), self.den.shift(eta))
 
 
-class Abs(CoefficientExpr):
+class _Unary(CoefficientExpr):
+    """A fixed scalar function of one real-valued subexpression."""
+
+    __slots__ = _fields = ("arg",)
+
+    @staticmethod
+    def _make(arg: CoefficientExpr):
+        arg = as_expr(arg)
+        return (arg,), (arg,)
+
+    def _shift(self, eta):
+        return type(self)(self.arg.shift(eta))
+
+
+class Abs(_Unary):
     """|u| for a real-valued scalar subexpression u."""
 
-    def __init__(self, arg: CoefficientExpr):
-        self.arg = as_expr(arg)
+    __slots__ = ()
 
-    def eval(self, xi):
-        return np.abs(self.arg.eval(xi).real).astype(complex)
-
-    def shift(self, eta):
-        return Abs(self.arg.shift(eta))
+    def _eval(self, xi, memo):
+        return np.abs(self.arg._memo(xi, memo).real).astype(complex)
 
 
-class Sqrt(CoefficientExpr):
-    def __init__(self, arg: CoefficientExpr):
-        self.arg = as_expr(arg)
+class Sqrt(_Unary):
+    __slots__ = ()
 
-    def eval(self, xi):
-        return np.sqrt(np.maximum(self.arg.eval(xi).real, 0.0)).astype(complex)
-
-    def shift(self, eta):
-        return Sqrt(self.arg.shift(eta))
+    def _eval(self, xi, memo):
+        return np.sqrt(np.maximum(self.arg._memo(xi, memo).real, 0.0)).astype(complex)
 
 
-class Iota(CoefficientExpr):
+class Iota(_Unary):
     """The fixed smooth step applied to a real scalar subexpression."""
 
-    def __init__(self, arg: CoefficientExpr):
-        self.arg = as_expr(arg)
+    __slots__ = ()
 
-    def eval(self, xi):
-        return iota(self.arg.eval(xi).real).astype(complex)
-
-    def shift(self, eta):
-        return Iota(self.arg.shift(eta))
+    def _eval(self, xi, memo):
+        return iota(self.arg._memo(xi, memo).real).astype(complex)
 
 
 # -- symbols -------------------------------------------------------------------

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectra_lab.frequency import freq
-from spectra_lab.symbols import (Affine, Const, Prod, QuadShift, Quot, Sum,
-                                 Symbol, XiGrid, apply_to_wave, class_norm,
-                                 compose, evaluate, iota, is_symmetric,
-                                 laplace_symbol, multiplication_symbol,
-                                 op_matrix)
+from spectra_lab.gauge import CutoffFamily, run_gauge
+from spectra_lab.symbols import (Abs, Affine, Const, Iota, Prod, QuadShift,
+                                 Quot, Sqrt, Sum, Symbol, XiGrid,
+                                 apply_to_wave, class_norm, compose, evaluate,
+                                 iota, is_symmetric, laplace_symbol,
+                                 multiplication_symbol, op_matrix)
+from spectra_lab.zones import ZoneParameters, sample_annulus
 
 
 def test_iota_plateaus():
@@ -155,3 +157,110 @@ def test_quadshift_eval(x1, x2, s):
     ex = QuadShift([s, -s])
     v = complex(ex.eval(np.array([x1, x2])))
     assert abs(v - ((x1 + s) ** 2 + (x2 - s) ** 2)) < 1e-10
+
+
+# -- interning -------------------------------------------------------------------
+
+
+def test_equal_trees_are_one_node():
+    a, b = _smooth_tree(), _smooth_tree()
+    assert a is b
+    assert a.num is b.num and a.den is b.den
+    assert Affine(np.array([1.0, 0.5]), 2.0) is Affine([1, 0.5], 2)
+    assert _smooth_tree().shift([0.4, -1.1]) is _smooth_tree().shift(np.array([0.4, -1.1]))
+
+
+def test_interning_keeps_exact_parameters_apart():
+    one_up = np.nextafter(1.0, 2.0)
+    assert Const(0.0) is not Const(-0.0)
+    assert Const(1.0) is not Const(one_up)
+    assert Const(1j) is not Const(complex(-0.0, 1.0))
+    assert Affine([1.0, 0.0], 0.0) is not Affine([one_up, 0.0], 0.0)
+    assert Affine([1.0, 0.0], 0.0) is not Affine([1.0, -0.0], 0.0)
+    assert QuadShift([0.0, 0.0]) is not QuadShift([0.0, -0.0])
+    assert QuadShift(np.zeros(2)) is not QuadShift(np.zeros((2, 1)))
+    assert Iota(Const(0.5)) is not Abs(Const(0.5))
+
+
+def test_nodes_are_immutable():
+    node = Affine([1.0, 2.0], 0.5)
+    for name, value in (("c", 1.0), ("w", np.zeros(2)), ("extra", 0)):
+        with pytest.raises(AttributeError):
+            setattr(node, name, value)
+    with pytest.raises(ValueError):
+        node.w[0] = 3.0
+    with pytest.raises(AttributeError):
+        Sum([node, Const(1.0)]).terms = ()
+    assert node.w.tolist() == [1.0, 2.0] and node.c == 0.5
+
+
+def _children(node):
+    if isinstance(node, Sum):
+        return node.terms
+    if isinstance(node, Prod):
+        return node.factors
+    if isinstance(node, Quot):
+        return (node.num, node.den)
+    if isinstance(node, (Abs, Sqrt, Iota)):
+        return (node.arg,)
+    return ()
+
+
+def _walk(node, xi):
+    """Memo-free recursive evaluation, the arithmetic of each node spelled out."""
+    if isinstance(node, Const):
+        return np.full(xi.shape[:-1], node.c, dtype=complex)
+    if isinstance(node, Affine):
+        return (xi @ node.w).astype(complex) + node.c
+    if isinstance(node, QuadShift):
+        z = xi + node.v
+        return ((z * z).sum(axis=-1)).astype(complex)
+    if isinstance(node, (Sum, Prod)):
+        parts = _children(node)
+        acc = _walk(parts[0], xi)
+        for p in parts[1:]:
+            acc = acc + _walk(p, xi) if isinstance(node, Sum) else acc * _walk(p, xi)
+        return acc
+    if isinstance(node, Quot):
+        n, d = _walk(node.num, xi), _walk(node.den, xi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = n / d
+        return np.where(n != 0, q, 0.0 + 0.0j)
+    u = _walk(node.arg, xi).real
+    if isinstance(node, Abs):
+        return np.abs(u).astype(complex)
+    if isinstance(node, Sqrt):
+        return np.sqrt(np.maximum(u, 0.0)).astype(complex)
+    return iota(u).astype(complex)
+
+
+@pytest.fixture(scope="module")
+def w_axes2d_k3(axes2d, rational_basis):
+    """w at ktilde = 3 for the axes2d potential (0.3, 0.25)."""
+    e1, e2 = freq([1, 0], rational_basis), freq([0, 1], rational_basis)
+    b = multiplication_symbol({e1: 0.3, -e1: 0.3, e2: 0.25, -e2: 0.25})
+    zp = ZoneParameters.create(1000.0, 2, ktilde=3)
+    return run_gauge(b, 3, CutoffFamily(1000.0, zp.beta), axes2d).w
+
+
+def test_memoised_eval_matches_tree_walk(w_axes2d_k3):
+    xi = sample_annulus(2, 1000.0, 32, np.random.default_rng(20240817))
+    for th in w_axes2d_k3.support():
+        ex = w_axes2d_k3.coeff(th)
+        assert ex.eval(xi).tobytes() == _walk(ex, xi).tobytes(), th
+
+
+def test_w_dag_size(w_axes2d_k3):
+    """w at ktilde = 3 is a tree of 111,086 nodes; interned, it is a DAG of a
+    few thousand.  A construction that copies subtrees again fails here."""
+    distinct, tree = {}, {}
+
+    def size(node):
+        if node not in tree:
+            distinct[node] = None
+            tree[node] = 1 + sum(size(c) for c in _children(node))
+        return tree[node]
+
+    total = sum(size(ex) for ex in w_axes2d_k3.coeffs.values())
+    assert total == 111_086
+    assert len(distinct) <= 2_500

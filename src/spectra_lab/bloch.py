@@ -168,23 +168,29 @@ def free_lds_d1(lams: np.ndarray, Nk: int) -> np.ndarray:
 
 
 def free_lds_d2(lams: np.ndarray, Nk: int) -> np.ndarray:
-    """Plain-midpoint N(lambda; x) for b=0, d=2: counts fine-lattice points
-    (spacing 1/Nk, midpoint-shifted) in the disk |xi|^2 <= lambda, row by row."""
+    """Plain-midpoint N(lambda; x) for b=0, d=2: counts the points k + m of
+    the midpoint grid in the disk |xi|^2 <= lambda, row by row, averaging the
+    <= and < conventions as the midpoint does.  In units of 1/(2 Nk) those
+    points are the odd integers (even Nk) or the even integers (odd Nk), so
+    the count is exact integer arithmetic against T = 4 lambda Nk^2."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    h = 1.0 / Nk
+    par = 1 if Nk % 2 == 0 else 0
     out = np.empty(lams.shape)
-    rmax = math.sqrt(lams.max())
-    # fine-lattice ordinates: (j + 0.5) h, all j with |y| <= rmax
-    jmax = int(math.floor(rmax / h + 0.5)) + 2
-    ys = (np.arange(-jmax, jmax + 1) + 0.5) * h
     for i, lam in enumerate(lams):
-        rem = lam - ys * ys
-        ok = rem >= 0
-        half = np.sqrt(rem[ok])
-        # count j with |(j + 0.5) h| <= half  <=>  j in [-half/h - 0.5, half/h - 0.5]
-        cnt = np.floor(half / h - 0.5) - np.ceil(-half / h - 0.5) + 1.0
-        total = cnt.sum()
-        out[i] = total * h * h / (2 * math.pi) ** 2
+        T = 4.0 * lam * Nk * Nk
+        total = 0
+        # a1^2 + a2^2 <= B, once with B = floor(T) and once with B < T
+        for B in (math.floor(T), math.ceil(T) - 1):
+            amax = math.isqrt(B) if B >= 0 else -1
+            a2 = np.arange(-amax, amax + 1, dtype=np.int64)
+            a2 = a2[(a2 - par) % 2 == 0]
+            R = B - a2 * a2
+            s = np.floor(np.sqrt(R)).astype(np.int64)
+            s -= s * s > R
+            s += (s + 1) * (s + 1) <= R
+            # integers of parity par in [-s, s]
+            total += int((2 * ((s + par) // 2) + 1 - par).sum())
+        out[i] = 0.5 * total / (Nk * Nk) / (2 * math.pi) ** 2
     return out
 
 
@@ -289,12 +295,19 @@ def _midpoint_d2(lams, x, y, four, M_cut, Nk):
     acc = np.zeros(lams.shape)
     diag = np.array_equal(x, y)
     for k, wt in zip(*_paired_grid(Nk, 2)):
-        M = V.copy()
-        M[ii] += ((k + marr) ** 2).sum(axis=1)
-        w, v = eigh(M, overwrite_a=True, check_finite=False,
-                    subset_by_value=(-np.inf, emax), driver="evr")
-        ux = _wave_amp(v, (k + marr) @ x)
-        uy = ux if diag else _wave_amp(v, (k + marr) @ y)
+        if four:
+            M = V.copy()
+            M[ii] += ((k + marr) ** 2).sum(axis=1)
+            w, v = eigh(M, overwrite_a=True, check_finite=False,
+                        subset_by_value=(-np.inf, emax), driver="evr")
+            ux = _wave_amp(v, (k + marr) @ x)
+            uy = ux if diag else _wave_amp(v, (k + marr) @ y)
+        else:  # b = 0: the fiber is diagonal, its eigenvectors the plane waves
+            w = ((k + marr) ** 2).sum(axis=1)
+            keep = w <= emax
+            w, km = w[keep], (k + marr)[keep]
+            ux = np.exp(1j * (km @ x))
+            uy = ux if diag else np.exp(1j * (km @ y))
         acc += wt * _fermi_sums(w, (ux * np.conj(uy)).real, lams)
     return acc / Nk**2 / (2 * math.pi) ** 2
 

@@ -307,11 +307,12 @@ def separable_midpoint_d2(lams, x, y, a, c, M_cut, Nk):
 @pytest.mark.parametrize("y", [(0.0, 0.0), (0.7, -0.4)])
 def test_midpoint_d2_separable(Nk, y):
     """The d = 2 midpoint against the double sum over d = 1 eigenpairs, on the
-    reduced axes2d potential; an odd N_k puts k = 0 on the grid."""
+    reduced axes2d potential and at b = 0; an odd N_k puts k = 0 on the grid."""
     x = np.zeros(2)
-    want = separable_midpoint_d2(AXES2D_LAMS, x, y, 0.3, 0.25, 8, Nk)
-    got = spectral_function(AXES2D_LAMS, x, np.array(y), AXES2D, 8, Nk, d=2)
-    assert np.max(np.abs(got - want)) <= 1e-12
+    for a, c, b in ((0.3, 0.25, AXES2D), (0.0, 0.0, {})):
+        want = separable_midpoint_d2(AXES2D_LAMS, x, y, a, c, 8, Nk)
+        got = spectral_function(AXES2D_LAMS, x, np.array(y), b, 8, Nk, d=2)
+        assert np.max(np.abs(got - want)) <= 1e-12, (a, c)
 
 
 def test_midpoint_d2_translation_covariance():

@@ -154,16 +154,23 @@ def closed_form_a(b: TrigPotential, j: int, x: Optional[Sequence] = None):
     else:
         raise ValueError("closed forms provided for j in {1, 2}")
     out = sp.simplify(out)
-    if x is None:
-        return out
-    return sp.simplify(out.subs(dict(zip(xs, [sp.sympify(v) for v in x]))))
+    return out if x is None else at_point(out, x)
 
 
-def mean_a(b: TrigPotential, j: int) -> sp.Expr:
-    """M_x a_j(x), exact from the Fourier data (zero-frequency extraction)."""
+def at_point(expr: sp.Expr, x: Sequence) -> sp.Expr:
+    """An x-dependent closed form at the point x, simplified."""
+    xs, _ = _xy_vars(len(x))
+    return sp.simplify(expr.subs(dict(zip(xs, [sp.sympify(v) for v in x]))))
+
+
+def mean_a(b: TrigPotential, j: int, closed: Optional[sp.Expr] = None) -> sp.Expr:
+    """M_x a_j(x), exact from the Fourier data (zero-frequency extraction);
+    closed is closed_form_a(b, j) when the caller has it already."""
     d = b.dimension
     xs, _ = _xy_vars(d)
-    expr = sp.expand(sp.expand_trig(closed_form_a(b, j)))
+    if closed is None:
+        closed = closed_form_a(b, j)
+    expr = sp.expand(sp.expand_trig(closed))
     expr = expr.rewrite(sp.exp)
     mean = sp.Integer(0)
     for term in sp.Add.make_args(sp.expand(expr)):
@@ -172,14 +179,17 @@ def mean_a(b: TrigPotential, j: int) -> sp.Expr:
     return sp.simplify(mean)
 
 
-def discrepancy_report(b: TrigPotential, x: Sequence) -> dict:
+def discrepancy_report(b: TrigPotential, x: Sequence,
+                       closed: Optional[sp.Expr] = None) -> dict:
     """Verbatim sigma-engine a_1 versus the closed form at a point; the ratio
-    2/(d+2) is the known normalization gap of the verbatim k-sum."""
+    2/(d+2) is the known normalization gap of the verbatim k-sum.  closed is
+    closed_form_a(b, 1, x) when the caller has it already."""
     d = b.dimension
     xs, _ = _xy_vars(d)
     subs = dict(zip(xs, [sp.sympify(v) for v in x]))
     verbatim = sp.simplify(a_from_sigma(b, 1).subs(subs))
-    closed = closed_form_a(b, 1, x)
+    if closed is None:
+        closed = closed_form_a(b, 1, x)
     ratio = sp.simplify(verbatim / closed) if closed != 0 else None
     return {
         "a1_verbatim": verbatim,

@@ -96,14 +96,18 @@ class CoefficientExpr:
         return v
 
     def shift(self, eta: np.ndarray) -> "CoefficientExpr":
-        """The node of xi -> self(xi + eta), memoised per exact eta."""
+        """The node of xi -> self(xi + eta), memoised per exact eta.  The memo
+        holds its results weakly: a zero shift often returns self, and a
+        strong memo would make cycles that only the garbage collector frees."""
         eta = np.asarray(eta, dtype=float)
         key = (eta.shape, eta.tobytes())
         if self._shifts is None:
             object.__setattr__(self, "_shifts", {})
-        out = self._shifts.get(key)
+        ref = self._shifts.get(key)
+        out = ref() if ref is not None else None
         if out is None:
-            out = self._shifts[key] = self._shift(eta)
+            out = self._shift(eta)
+            self._shifts[key] = weakref.ref(out)
         return out
 
     def __add__(self, other):

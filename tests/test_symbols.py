@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from spectra_lab.frequency import freq
 from spectra_lab.gauge import CutoffFamily, run_gauge
-from spectra_lab.symbols import (Abs, Affine, Const, Iota, Prod, QuadShift,
-                                 Quot, Sqrt, Sum, Symbol, XiGrid,
-                                 apply_to_wave, class_norm, compose, evaluate,
-                                 iota, is_symmetric, laplace_symbol,
+from spectra_lab.symbols import (Abs, Affine, CoefficientExpr, Const, Iota,
+                                 Prod, QuadShift, Quot, Sqrt, Sum, Symbol,
+                                 XiGrid, apply_to_wave, class_norm, compose,
+                                 evaluate, iota, is_symmetric, laplace_symbol,
                                  multiplication_symbol, op_matrix)
 from spectra_lab.zones import ZoneParameters, sample_annulus
 
@@ -192,6 +193,43 @@ def test_nodes_are_immutable():
     with pytest.raises(AttributeError):
         Sum([node, Const(1.0)]).terms = ()
     assert node.w.tolist() == [1.0, 2.0] and node.c == 0.5
+
+
+def test_eval_visits_shared_node_once(monkeypatch):
+    step = Iota(Abs(Affine([1.0, 0.0], -0.26)))
+    ex = Sum([step, Prod([QuadShift([0.0, 1.0]), step]), Quot(step, Const(3.0))])
+    calls = []
+    inner = Iota._eval
+
+    def counted(self, xi, memo):
+        calls.append(self)
+        return inner(self, xi, memo)
+
+    monkeypatch.setattr(Iota, "_eval", counted)
+    xi = np.array([[0.0, 0.0], [0.265, 1.0], [0.5, 2.0]])
+    got = ex.eval(xi)
+    assert calls == [step]
+    s = iota(np.abs(xi[:, 0] - 0.26)).astype(complex)
+    q = (xi[:, 0] ** 2 + (xi[:, 1] + 1.0) ** 2).astype(complex)
+    assert np.allclose(got, s + q * s + s / 3.0, atol=1e-15)
+
+
+def test_intern_table_frees_dropped_nodes(axes2d, rational_basis):
+    """Nodes live only while something uses them: a gauge construction that
+    is dropped leaves the intern table as it was, with no help from the
+    cycle collector (the shift memo must hold its results weakly)."""
+    e1 = freq([1, 0], rational_basis)
+    zp = ZoneParameters.create(1000.0, 2, ktilde=2)
+    gc.disable()
+    try:
+        before = len(CoefficientExpr._interned)
+        out = run_gauge(multiplication_symbol({e1: 0.2, -e1: 0.2}), 2,
+                        CutoffFamily(1000.0, zp.beta), axes2d)
+        assert len(CoefficientExpr._interned) > before
+        del out
+        assert len(CoefficientExpr._interned) <= before
+    finally:
+        gc.enable()
 
 
 def _children(node):

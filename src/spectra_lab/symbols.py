@@ -1,8 +1,13 @@
 """Quasi-periodic pseudodifferential symbols.
 
 A symbol is a finite map theta -> coefficient function of xi; coefficients are
-closed-form expression trees supporting exact xi-shifts, so composition stays
-symbolic in xi.  Evaluation is vectorized: eval accepts xi of shape (..., d).
+closed-form expressions supporting exact xi-shifts, so composition stays
+symbolic in xi.  Expression nodes are interned and immutable, so the
+coefficients of a symbol form a DAG in which equal subexpressions are stored
+once; shift is memoised per exact shift.  Evaluation is vectorized (eval
+accepts xi of shape (..., d)) and visits each node of the DAG once per call,
+in the same term order as the expanded tree, so values do not depend on the
+sharing.
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ def _frozen(a) -> np.ndarray:
 
 class CoefficientExpr:
     """Interned immutable node.  A subclass names its fields in _fields (and
-    __slots__), builds them and their intern key in _make, and implements _eval (values
-    from its children's memoised values) and _shift."""
+    __slots__), builds them and their intern key in _make, and implements
+    _eval (from its children's memoised values) and _shift."""
 
     __slots__ = ("_shifts", "__weakref__")
     _interned = weakref.WeakValueDictionary()
@@ -77,7 +82,7 @@ class CoefficientExpr:
             node = object.__new__(cls)
             for name, value in zip(cls._fields, fields):
                 object.__setattr__(node, name, value)
-            object.__setattr__(node, "_shifts", None)
+            object.__setattr__(node, "_shifts", {})
             CoefficientExpr._interned[key] = node
         return node
 
@@ -101,8 +106,6 @@ class CoefficientExpr:
         strong memo would make cycles that only the garbage collector frees."""
         eta = np.asarray(eta, dtype=float)
         key = (eta.shape, eta.tobytes())
-        if self._shifts is None:
-            object.__setattr__(self, "_shifts", {})
         ref = self._shifts.get(key)
         out = ref() if ref is not None else None
         if out is None:

@@ -22,6 +22,21 @@ def test_build_requires_span(rational_basis):
         FrequencySet.build(2, rational_basis, [freq([1, 0], rational_basis)])
 
 
+def test_cached_views_cannot_be_mutated(axes2d, surd2_basis):
+    v = freq([(1, 2), 0], surd2_basis)
+    f = v.to_float()
+    assert f.tolist() == [1 + 2 * math.sqrt(2), 0.0]
+    with pytest.raises(ValueError):
+        f[0] = 0.0
+    assert v.to_float() is f
+    nz = axes2d.nonzero()
+    assert [tuple(t.to_float()) for t in nz] == [(-1.0, 0.0), (0.0, -1.0),
+                                                  (0.0, 1.0), (1.0, 0.0)]
+    nz.reverse()
+    nz.append(axes2d.zero())
+    assert axes2d.nonzero() == nz[-2::-1]
+
+
 def test_generator_basis_rejects_square():
     with pytest.raises(UnsupportedGenerators):
         GeneratorBasis(4)

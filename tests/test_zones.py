@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -181,3 +183,107 @@ def test_d1_annulus_nonresonant(mathieu1d, zp1, rng):
     pts = sample_annulus(1, 1000.0, 200, rng)
     for xi in pts:
         assert classify_point(xi, mathieu1d, zp1).dim == 0
+
+
+# -- golden labels and classes: every label, class point and class subspace -----
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "zones_classes.json")
+RHO = 1000.0
+
+
+def _slab_points(S, zp, n, rng):
+    """n annulus points inside the slab of a theta of S, cycling over S."""
+    thetas = [t.to_float() for t in S.nonzero()]
+    out = []
+    for k in range(n):
+        t = thetas[k % len(thetas)]
+        u = t / np.linalg.norm(t)
+        r = rng.uniform(900.0, 4000.0) * rng.choice([-1.0, 1.0])
+        out.append(r * np.array([-u[1], u[0]]) + rng.uniform(-zp.L(1), zp.L(1)) * u)
+    return np.array(out)
+
+
+def _golden_sets():
+    """(name, S, zp, points): criterion 09's samples on Theta = {0, +-e1, +-e2}
+    with slab points and points at the origin (dim-2 classes), and annulus and
+    slab points of the surd set {e1, e2, (1/2, sqrt(2)/3)}."""
+    from fractions import Fraction
+
+    from spectra_lab.frequency import FrequencySet, GeneratorBasis
+
+    zp = ZoneParameters.create(RHO, 2)
+    b0 = GeneratorBasis(None)
+    S0 = FrequencySet.build(2, b0, [freq([1, 0], b0), freq([0, 1], b0)])
+    rng = np.random.default_rng(20240817)
+    axes = np.concatenate([sample_annulus(2, RHO, 10000, rng),
+                           _slab_points(S0, zp, 200, rng),
+                           rng.uniform(-zp.L(1), zp.L(1), size=(20, 2))])
+    b2 = GeneratorBasis(2)
+    S2 = FrequencySet.build(2, b2, [freq([1, 0], b2), freq([0, 1], b2),
+                                    freq([(Fraction(1, 2), 0), (0, Fraction(1, 3))], b2)])
+    rng = np.random.default_rng(20240818)
+    surd = np.concatenate([sample_annulus(2, RHO, 3000, rng),
+                           _slab_points(S2, zp, 300, rng)])
+    return [("axes2d", S0, zp, axes), ("surd2", S2, zp, surd)]
+
+
+def _subspace_key(V):
+    return ";".join(",".join("%s+%s*r" % (c.a, c.b) for c in row)
+                    for row in V.rref_rows())
+
+
+def golden_zones():
+    """Everything tests/golden/zones_classes.json holds, computed afresh:
+    per set, the subspace list, each point's label and class subspace as
+    indices into it, a digest of every class's points (bytes, in order), and
+    every class of more than one point written out as hex floats (points
+    separated by spaces, coordinates by commas)."""
+    import hashlib
+
+    from spectra_lab.zones import ZoneGeometry
+
+    out = {}
+    for name, S, zp, pts in _golden_sets():
+        geom = ZoneGeometry(S, zp)
+        labels, class_subspaces, classes = [], [], {}
+        digest = hashlib.sha256()
+        for i, xi in enumerate(pts):
+            labels.append(geom.subspaces.index(geom.classify_point(xi).subspace))
+            cls = geom.congruence_class(xi)
+            class_subspaces.append(geom.subspaces.index(cls.subspace))
+            digest.update(len(cls).to_bytes(8, "little"))
+            for p in cls.points:
+                digest.update(np.asarray(p, dtype=float).tobytes())
+            if len(cls) > 1:
+                classes[str(i)] = " ".join(",".join(float(v).hex() for v in p)
+                                           for p in cls.points)
+        out[name] = {"subspaces": [_subspace_key(V) for V in geom.subspaces],
+                     "labels": "".join(map(str, labels)),
+                     "class_subspaces": "".join(map(str, class_subspaces)),
+                     "points_sha256": digest.hexdigest(),
+                     "classes": classes}
+    return out
+
+
+def test_zones_golden():
+    with open(GOLDEN) as fh:
+        want = json.load(fh)
+    got = golden_zones()
+    assert sorted(got) == sorted(want)
+    for name in want:
+        g, w = got[name], want[name]
+        assert g["subspaces"] == w["subspaces"], name
+        assert g["labels"] == w["labels"], name
+        assert g["class_subspaces"] == w["class_subspaces"], name
+        assert sorted(g["classes"]) == sorted(w["classes"]), name
+        for i in w["classes"]:
+            assert g["classes"][i] == w["classes"][i], (name, i)
+        assert g["points_sha256"] == w["points_sha256"], name
+
+
+if __name__ == "__main__":
+    # Regenerate the golden file: PYTHONPATH=src python tests/test_zones.py
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w") as fh:
+        json.dump(golden_zones(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -10,6 +10,7 @@ near-resonances are generated exactly by the quasi-lattice subspace V.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -111,7 +112,16 @@ class CylindricalCoords:
 
 
 class ZoneGeometry:
-    """Precomputed subspace lattice for a fixed Theta-tilde; all zone queries."""
+    """Precomputed subspace lattice for a fixed Theta-tilde; all zone queries.
+
+    Every per-point query runs on tables built here, so it does no exact
+    arithmetic: the subspaces by index (ordered by dimension, so each child
+    precedes its parents), each subspace's children as (index, nu, L_m), a
+    boolean containment table, and the closure steps of each theta as
+    (float theta, |theta|, moves (l, l * integer key)).  A theta's integer
+    key is its exact coordinates (rational and surd parts) times the common
+    denominator of S, so offsets, sums of l * theta, compare exactly as
+    integer tuples."""
 
     def __init__(self, S: FrequencySet, zp: ZoneParameters):
         if zp.dimension and zp.dimension != S.dimension:
@@ -120,22 +130,33 @@ class ZoneGeometry:
         self.zp = zp
         self.d = S.dimension
         self.subspaces = all_subspaces(S)
-        self._by_dim: dict[int, list[QuasiLatticeSubspace]] = {}
-        for V in self.subspaces:
-            self._by_dim.setdefault(V.dimension, []).append(V)
-        # children[V] = subspaces of dim(V)-1 contained in V, with the unit
-        # normal nu spanning V ominus child
-        self._children: dict[QuasiLatticeSubspace, list] = {}
-        for V in self.subspaces:
+        subs = self.subspaces
+        self._dims = [V.dimension for V in subs]
+        self._index = {V: i for i, V in enumerate(subs)}
+        self._ids = {id(V): i for i, V in enumerate(subs)}
+        self._contains = [[V.contains_subspace(W) for W in subs] for V in subs]
+        # children of V: subspaces of dim(V)-1 contained in V, with the unit
+        # normal nu spanning V ominus child and the confinement scale L_m
+        self._children = []
+        for i, V in enumerate(subs):
             m = V.dimension
-            if m == 0:
-                continue
-            kids = []
-            for W in self._by_dim.get(m - 1, []):
-                if V.contains_subspace(W):
-                    nu = self._unit_complement(V, W)
-                    kids.append((W, nu))
-            self._children[V] = kids
+            self._children.append(tuple(
+                (j, self._unit_complement(V, W), zp.L(m)) for j, W in enumerate(subs)
+                if W.dimension == m - 1 and self._contains[i][j]))
+        self._L1 = zp.L(1)
+        nonzero = S.nonzero()
+        denom = math.lcm(1, *(x.denominator for t in nonzero
+                              for row in t.coords for x in row))
+        self._zero_key = (0,) * (2 * self.d)
+        self._steps = []
+        for t in nonzero:
+            tf = t.to_float()
+            nrm = np.linalg.norm(tf)
+            lmax = int(math.ceil(2.0 * self._L1 / nrm))
+            key = tuple(int(x * denom) for row in t.coords for x in row)
+            moves = tuple((l, tuple(l * k for k in key))
+                          for l in range(-lmax, lmax + 1) if l != 0)
+            self._steps.append((tf, nrm, moves))
 
     @staticmethod
     def _unit_complement(V: QuasiLatticeSubspace, W: QuasiLatticeSubspace) -> np.ndarray:
@@ -151,6 +172,10 @@ class ZoneGeometry:
         v = vecs[:, np.argmax(w)]
         return v / np.linalg.norm(v)
 
+    def _position(self, V: QuasiLatticeSubspace) -> int:
+        i = self._ids.get(id(V))
+        return self._index[V] if i is None else i
+
     # -- membership tests ---------------------------------------------------
 
     def in_lambda(self, theta: FrequencyVector, xi: np.ndarray) -> bool:
@@ -160,68 +185,64 @@ class ZoneGeometry:
         t = theta.to_float()
         return abs(float(xi @ t)) / np.linalg.norm(t) <= self.zp.L(1)
 
+    def _xi1(self, xi: np.ndarray) -> list[bool]:
+        """hit[i] = xi in Xi_1(subspaces[i]): some flag of the subspace confines
+        xi at every level.  Children precede parents, so each is read, not
+        recomputed; dim 0 has no children and always holds."""
+        hit = []
+        for kids in self._children:
+            hit.append(not kids or any(hit[j] and abs(float(xi @ nu)) <= Lm
+                                       for j, nu, Lm in kids))
+        return hit
+
     def in_xi1(self, V: QuasiLatticeSubspace, xi: np.ndarray) -> bool:
         """xi in Xi_1(V): some flag of V confines xi at every level."""
-        m = V.dimension
-        if m == 0:
-            return True
-        for W, nu in self._children[V]:
-            if abs(float(xi @ nu)) <= self.zp.L(m) and self.in_xi1(W, xi):
-                return True
-        return False
+        return self._xi1(xi)[self._position(V)]
 
     def in_xi(self, V: QuasiLatticeSubspace, xi: np.ndarray) -> bool:
         """xi in Xi(V) per the subtraction rule: in Xi_1(V), not in Xi_1(U) for U not<= V."""
-        if not self.in_xi1(V, xi):
-            return False
-        for U in self.subspaces:
-            if not V.contains_subspace(U) and self.in_xi1(U, xi):
-                return False
-        return True
+        i = self._position(V)
+        hit = self._xi1(xi)
+        contains = self._contains[i]
+        return hit[i] and not any(h and not c for h, c in zip(hit, contains))
 
     def classify_point(self, xi: np.ndarray) -> ZoneLabel:
         """The unique V with xi in Xi(V) (maximal Xi_1-membership)."""
-        hits = [V for V in self.subspaces if self.in_xi1(V, xi)]
+        hits = [i for i, h in enumerate(self._xi1(xi)) if h]
+        dims = self._dims
         best = hits[0]
-        for V in hits[1:]:
-            if V.dimension > best.dimension:
-                best = V
+        for i in hits[1:]:
+            if dims[i] > dims[best]:
+                best = i
         # the set of hits is closed under sums, so the max-dimensional hit
-        # contains all others; fall back to the explicit sum if it does not
-        if not all(best.contains_subspace(V) for V in hits):
-            acc = hits[0]
-            for V in hits[1:]:
-                acc = acc.sum(V)
-            best = next(W for W in self.subspaces if W == acc)
-        return ZoneLabel(best)
+        # contains all others; fall back to the sum of the hits, the first
+        # (least-dimensional) subspace that contains them all, if it does not
+        if not all(self._contains[best][i] for i in hits):
+            best = next(j for j, row in enumerate(self._contains)
+                        if all(row[i] for i in hits))
+        return ZoneLabel(self.subspaces[best])
 
     # -- congruence classes --------------------------------------------------
 
     def congruence_class(self, xi: np.ndarray) -> CongruenceClass:
         """BFS closure of xi under steps eta -> eta + l*theta staying in Lambda(theta)."""
         label = self.classify_point(xi)
-        thetas = [(t, t.to_float()) for t in self.S.nonzero()]
-        L1 = self.zp.L(1)
-        zero = self.S.zero()
-        seen = {zero: np.asarray(xi, dtype=float)}
-        frontier = [zero]
+        L1 = self._L1
+        seen = {self._zero_key: np.asarray(xi, dtype=float)}
+        frontier = [self._zero_key]
         while frontier:
             new = []
             for off in frontier:
                 pt = seen[off]
-                for t, tf in thetas:
-                    nrm = np.linalg.norm(tf)
+                for tf, nrm, moves in self._steps:
                     proj = float(pt @ tf) / nrm
                     if abs(proj) > L1:
                         continue
-                    lmax = int(math.ceil(2.0 * L1 / nrm))
-                    for l in range(-lmax, lmax + 1):
-                        if l == 0:
-                            continue
+                    for l, lkey in moves:
                         q = pt + l * tf
                         if abs(float(q @ tf)) / nrm > L1:
                             continue
-                        noff = off + t.scale(l)
+                        noff = tuple(map(operator.add, off, lkey))
                         if noff not in seen:
                             seen[noff] = q
                             new.append(noff)

@@ -132,6 +132,7 @@ class ZoneGeometry:
         self.subspaces = all_subspaces(S)
         subs = self.subspaces
         self._dims = [V.dimension for V in subs]
+        self._labels = [ZoneLabel(V) for V in subs]
         self._index = {V: i for i, V in enumerate(subs)}
         self._ids = {id(V): i for i, V in enumerate(subs)}
         self._contains = [[V.contains_subspace(W) for W in subs] for V in subs]
@@ -191,8 +192,12 @@ class ZoneGeometry:
         recomputed; dim 0 has no children and always holds."""
         hit = []
         for kids in self._children:
-            hit.append(not kids or any(hit[j] and abs(float(xi @ nu)) <= Lm
-                                       for j, nu, Lm in kids))
+            h = not kids
+            for j, nu, Lm in kids:
+                if hit[j] and abs(float(xi @ nu)) <= Lm:
+                    h = True
+                    break
+            hit.append(h)
         return hit
 
     def in_xi1(self, V: QuasiLatticeSubspace, xi: np.ndarray) -> bool:
@@ -206,8 +211,8 @@ class ZoneGeometry:
         contains = self._contains[i]
         return hit[i] and not any(h and not c for h, c in zip(hit, contains))
 
-    def classify_point(self, xi: np.ndarray) -> ZoneLabel:
-        """The unique V with xi in Xi(V) (maximal Xi_1-membership)."""
+    def _label(self, xi: np.ndarray) -> int:
+        """Index of the unique V with xi in Xi(V) (maximal Xi_1-membership)."""
         hits = [i for i, h in enumerate(self._xi1(xi)) if h]
         dims = self._dims
         best = hits[0]
@@ -220,15 +225,20 @@ class ZoneGeometry:
         if not all(self._contains[best][i] for i in hits):
             best = next(j for j, row in enumerate(self._contains)
                         if all(row[i] for i in hits))
-        return ZoneLabel(self.subspaces[best])
+        return best
+
+    def classify_point(self, xi: np.ndarray) -> ZoneLabel:
+        """The unique V with xi in Xi(V) (maximal Xi_1-membership)."""
+        return self._labels[self._label(xi)]
 
     # -- congruence classes --------------------------------------------------
 
     def congruence_class(self, xi: np.ndarray) -> CongruenceClass:
         """BFS closure of xi under steps eta -> eta + l*theta staying in Lambda(theta)."""
-        label = self.classify_point(xi)
+        xi = np.asarray(xi, dtype=float)
+        label = self._label(xi)
         L1 = self._L1
-        seen = {self._zero_key: np.asarray(xi, dtype=float)}
+        seen = {self._zero_key: xi}
         frontier = [self._zero_key]
         while frontier:
             new = []
@@ -250,9 +260,8 @@ class ZoneGeometry:
                                 raise CapExceeded(
                                     "congruence closure exceeded %d nodes" % self.zp.closure_cap)
             frontier = new
-        return CongruenceClass(seed=np.asarray(xi, dtype=float),
-                               points=tuple(seen.values()),
-                               subspace=label.subspace)
+        return CongruenceClass(seed=xi, points=tuple(seen.values()),
+                               subspace=self.subspaces[label])
 
     # -- cylindrical coordinates ----------------------------------------------
 

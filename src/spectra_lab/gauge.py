@@ -117,14 +117,36 @@ def _graded_add(A: dict, B: dict, scale=1.0) -> dict:
     return {g: s for g, s in out.items() if not s.is_zero()}
 
 
+def _laplace_commutator(g: Symbol) -> Symbol:
+    """[|xi|^2, g] in affine form: (2<phi, xi> + |phi|^2) ghat(phi, xi).
+
+    compose(lap, g) - compose(g, lap) is |xi+phi|^2 ghat - ghat |xi|^2, whose
+    two terms are of size |xi|^2 ~ 1e7 on the annulus and cancel to the
+    affine factor; forming the factor directly keeps the round-off of ghat
+    alone.  The phi = 0 term is exactly 0 and is left out."""
+    out = {}
+    for ph, gex in g.coeffs.items():
+        if ph.is_zero():
+            continue
+        t = ph.to_float()
+        out[ph] = Prod([Affine(2.0 * t, float(t @ t)), gex])
+    return Symbol(out)
+
+
 def _graded_commutator(A: dict, B: dict, cap: int) -> dict:
+    """[A, B] by grade, truncated at cap.  Grade 0 of A, where present, is
+    the symbol |xi|^2 of -Delta alone (the conjugated operator's only
+    grade-0 part), and its commutators are taken in affine form."""
     out: dict = {}
     for ga, sa in A.items():
         for gb, sb in B.items():
             g = ga + gb
             if g > cap:
                 continue
-            term = compose(sa, sb) + compose(sb, sa).scale(-1.0)
+            if ga == 0:
+                term = _laplace_commutator(sb)
+            else:
+                term = compose(sa, sb) + compose(sb, sa).scale(-1.0)
             out[g] = out[g] + term if g in out else term
     return {g: s for g, s in out.items() if not s.is_zero()}
 

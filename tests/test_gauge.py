@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +10,8 @@ from spectra_lab.errors import NonMultiplicationInput, ZeroFrequency
 from spectra_lab.frequency import algebraic_sum, freq
 from spectra_lab.gauge import (CutoffFamily, cutoff_eval, first_order_psi,
                                run_gauge, verify_b3)
-from spectra_lab.symbols import (QuadShift, Symbol, XiGrid, is_symmetric,
+from spectra_lab.symbols import (Abs, Affine, Const, Iota, Prod, QuadShift,
+                                 Quot, Sqrt, Sum, Symbol, XiGrid, is_symmetric,
                                  laplace_symbol, multiplication_symbol,
                                  op_matrix)
 from spectra_lab.zones import ZoneParameters, sample_annulus
@@ -130,6 +132,22 @@ def test_gauge_symmetry_and_support(rational_basis, cf1, mathieu1d, rng):
     assert is_symmetric(out.w, grid)
     theta2 = set(algebraic_sum(mathieu1d, 2).elements)
     assert set(out.w.support()) <= theta2
+
+
+@pytest.mark.parametrize("a1, a2, xi", [
+    (0.11, 0.21, (2951.9086737777775, 1.8791913152021311)),
+    (0.39, 0.29, (-0.5752834687455157, 2234.6233962862575)),
+    (0.32, 0.26, (-1.460769454850074, -1662.6667052615041)),
+])
+def test_w_k3_symmetric_at_large_xi(axes2d, rational_basis, a1, a2, xi):
+    """w at ktilde = 3 is symmetric to is_symmetric's absolute 1e-12 at the
+    points where forming [|xi|^2, g] as a difference of two compositions,
+    with terms of size |xi|^2 ~ 1e7, missed it by 1.7e-12 to 3.1e-12."""
+    e1, e2 = freq([1, 0], rational_basis), freq([0, 1], rational_basis)
+    b = multiplication_symbol({e1: a1, -e1: a1, e2: a2, -e2: a2})
+    zp = ZoneParameters.create(RHO, 2, ktilde=3)
+    out = run_gauge(b, 3, CutoffFamily(RHO, zp.beta), axes2d)
+    assert is_symmetric(out.w, XiGrid(np.array([xi]), zp.beta), tol=1e-12)
 
 
 def test_verify_b3_mathieu(rational_basis, cf1, mathieu1d, rng):
@@ -259,6 +277,97 @@ def test_gauge_axes2d_golden(tmp_path):
         want = json.load(fh)
     got = json.loads(json.dumps(golden_gauge_axes2d(str(tmp_path))))
     _assert_matches(got, want)
+
+
+# -- a 50-digit referee for the gauge report's class norms ------------------------
+
+
+def _mp_eval(node, xi, memo):
+    """The node at one point xi (mpf coordinates) in mpmath, memoised in memo;
+    the arithmetic of each of the nine node types, with the float leaves
+    (constants, weights, shifts, iota's breakpoints) taken exactly."""
+    v = memo.get(node)
+    if v is not None:
+        return v
+    if isinstance(node, Const):
+        v = mpmath.mpc(node.c.real, node.c.imag)
+    elif isinstance(node, Affine):
+        v = sum((x * w for x, w in zip(xi, node.w)), mpmath.mpc(node.c.real, node.c.imag))
+    elif isinstance(node, QuadShift):
+        v = mpmath.mpc(sum((x + c) ** 2 for x, c in zip(xi, node.v)))
+    elif isinstance(node, Sum):
+        v = sum((_mp_eval(t, xi, memo) for t in node.terms), mpmath.mpc(0))
+    elif isinstance(node, Prod):
+        v = mpmath.mpc(1)
+        for f in node.factors:
+            v = v * _mp_eval(f, xi, memo)
+    elif isinstance(node, Quot):
+        n = _mp_eval(node.num, xi, memo)
+        v = n / _mp_eval(node.den, xi, memo) if n != 0 else mpmath.mpc(0)
+    else:
+        u = mpmath.re(_mp_eval(node.arg, xi, memo))
+        if isinstance(node, Abs):
+            v = mpmath.mpc(abs(u))
+        elif isinstance(node, Sqrt):
+            v = mpmath.mpc(mpmath.sqrt(max(u, 0)))
+        else:
+            assert isinstance(node, Iota), type(node)
+            v = mpmath.mpc(_mp_iota(u))
+    memo[node] = v
+    return v
+
+
+def _mp_iota(z):
+    z0, z1 = mpmath.mpf(0.25), mpmath.mpf(0.275)
+    if z <= z0:
+        return mpmath.mpf(1)
+    if z >= z1:
+        return mpmath.mpf(0)
+    u = (z1 - z) / (z1 - z0)
+    fu, fv = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
+    return fu / (fu + fv)
+
+
+def _mp_class_norm(sym, pts, memos):
+    """sum_theta |bhat(theta, xi_theta)| at 50 digits, where xi_theta is the
+    float argmax of |bhat(theta, .)| over pts."""
+    total = mpmath.mpf(0)
+    for ex in sym.coeffs.values():
+        i = int(np.argmax(np.abs(ex.eval(pts))))
+        memo = memos.setdefault(i, {})
+        total += abs(_mp_eval(ex, [mpmath.mpf(float(x)) for x in pts[i]], memo))
+    return total
+
+
+def test_gauge_report_norms_match_high_precision():
+    """The axes2d gauge report's psi_2 and remainder class norms agree with a
+    50-digit evaluation of the same DAG to 1e-15.  They did not while the
+    Laplacian commutator was formed as |xi+phi|^2 g - g |xi|^2, which lost
+    8.5e-14 and 2.1e-12 to cancellation at |xi|^2 ~ 1e7."""
+    from spectra_lab.config import parse_config
+    from spectra_lab.frequency import (FrequencySet, GeneratorBasis,
+                                       potential_frequencies)
+    from spectra_lab.gauge import _graded_conjugate
+
+    cfg = parse_config(AXES2D, "gauge")
+    S = FrequencySet.build(cfg.dimension, GeneratorBasis(cfg.surd_D),
+                           potential_frequencies(cfg.potential))
+    zp = ZoneParameters.create(cfg.rho_n, cfg.dimension, alpha=cfg.alpha,
+                               ktilde=cfg.ktilde)
+    b = multiplication_symbol(cfg.potential)
+    pts = sample_annulus(cfg.dimension, cfg.rho_n, cfg.samples,
+                         np.random.default_rng(cfg.seed))
+    out = run_gauge(b, cfg.ktilde, CutoffFamily(cfg.rho_n, zp.beta), S,
+                    norm_grid=XiGrid(pts, zp.beta))
+    H = {0: laplace_symbol(cfg.dimension, S.basis), 1: b}
+    iPsi = {j: p.scale(1j) for j, p in enumerate(out.psi, start=1) if not p.is_zero()}
+    remainder = _graded_conjugate(H, iPsi, cfg.ktilde + 1)[cfg.ktilde + 1]
+    memos: dict = {}
+    with mpmath.workdps(50):
+        psi2 = _mp_class_norm(out.psi[1], pts, memos)
+        rem = _mp_class_norm(remainder, pts, memos)
+    assert abs(out.diagnostics["psi_norm_ladder"][1]["norm"] - float(psi2)) <= 1e-15
+    assert abs(out.diagnostics["remainder_norm"] - float(rem)) <= 1e-15
 
 
 if __name__ == "__main__":

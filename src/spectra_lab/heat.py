@@ -101,11 +101,15 @@ def apply_H(elem: TermAlgebraElement, b: TrigPotential) -> TermAlgebraElement:
     return TermAlgebraElement(d, sp.expand(-lap + b.to_expr(ys) * elem.expr))
 
 
+def _require_j(j: int, j_max: int):
+    if j > j_max:
+        raise ValueError("sigma_j capped at j_max=%d (term algebra growth)" % j_max)
+
+
 def sigma_j(b: TrigPotential, j: int, j_max: int = 4) -> sp.Expr:
     """Verbatim k-sum: sum_k (-1)^j Gamma(j+d/2) /
     (4^k k! (k+j)! (j-k)! Gamma(k+d/2+1)) * H^{k+j}(|z|^{2k}) at y = x."""
-    if j > j_max:
-        raise ValueError("sigma_j capped at j_max=%d (term algebra growth)" % j_max)
+    _require_j(j, j_max)
     d = b.dimension
     acc = sp.Integer(0)
     for k in range(j + 1):
@@ -121,12 +125,14 @@ def sigma_j(b: TrigPotential, j: int, j_max: int = 4) -> sp.Expr:
 
 def a_from_sigma(b: TrigPotential, j: int, j_max: int = 4) -> sp.Expr:
     """a_j(x) = sigma_j(x) / ((4 pi)^{d/2} Gamma(d/2 - j + 1)); the 1/Gamma
-    factor at non-positive integers is an exact zero."""
+    factor at non-positive integers is an exact zero, returned without
+    computing sigma_j (j_max is checked first all the same)."""
+    _require_j(j, j_max)
     d = b.dimension
-    sig = sigma_j(b, j, j_max)
     gam = sp.gamma(sp.Rational(d, 2) - j + 1)
     if gam == sp.zoo or gam.is_infinite:
         return sp.Integer(0)
+    sig = sigma_j(b, j, j_max)
     return sp.simplify(sig / ((4 * sp.pi) ** sp.Rational(d, 2) * gam))
 
 

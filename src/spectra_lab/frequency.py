@@ -102,10 +102,6 @@ class FrequencyVector:
     def __sub__(self, other: "FrequencyVector") -> "FrequencyVector":
         return self + (-other)
 
-    def scale(self, c) -> "FrequencyVector":
-        c = Fraction(c)
-        return FrequencyVector([(c * a, c * b) for a, b in self.coords], self.basis)
-
     def __eq__(self, other):
         return isinstance(other, FrequencyVector) and self.coords == other.coords
 

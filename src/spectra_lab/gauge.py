@@ -5,6 +5,13 @@ symbol w.
 Convention: H1 = e^{-i Psi} H e^{i Psi}, equivalently H1 = sum_l ad^l(H)/l!
 with ad(A) = [A, i Psi].  The opposite convention flips the sign of Psi and
 nothing else; this choice is recorded in diagnostics.
+
+Commutators are compose(A, B) - compose(B, A), except those with -Delta,
+the only grade-0 part of H.  [|xi|^2, g] is formed directly as
+(2<phi, xi> + |phi|^2) ghat(phi, xi): as a difference of compositions it is
+|xi+phi|^2 ghat - ghat |xi|^2, two terms of size |xi|^2 (~1e7 on the
+annulus at rho_n = 1000) that cancel, and their round-off made w miss its
+symmetry by up to 3e-12 at k = 3.
 """
 
 from __future__ import annotations

@@ -5,6 +5,27 @@ Scale parameters: L_j = rho_n^alpha_j with alpha strictly increasing and
 alpha_d < 1/(2d).  A point xi belongs to the slab Lambda(theta) when
 |<xi, theta/|theta|>| <= L_1; the region Xi(V) collects the points whose
 near-resonances are generated exactly by the quasi-lattice subspace V.
+
+ZoneGeometry does its exact arithmetic once, at construction, and answers
+every per-point query from tables, with floats, indices and integer tuples
+only:
+  * the subspaces of S by index, ordered by dimension so that each child
+    precedes its parents; each subspace's children (the subspaces of one
+    dimension less inside it) as (index, unit normal nu, L_m); and a boolean
+    table of which subspace contains which.  Xi_1-membership of a point is
+    one pass over this list, each child read rather than recomputed, and the
+    label is the largest hit (or the sum of the hits, should it not contain
+    them all);
+  * the closure steps of each theta in S as (float theta, |theta|, moves
+    (l, l * key)) for 0 < |l| <= ceil(2 L_1 / |theta|).  The integer key of
+    theta is its exact coordinates, rational and surd parts, times the common
+    denominator of S.  That map is injective and linear, so an offset
+    sum_k l_k theta_k is keyed exactly by the integer tuple sum_k l_k key_k,
+    and two closure points merge exactly when their offsets are equal.
+The float steps (eta + l theta and the slab projections) and the order in
+which the closure visits points are part of the result: class points are
+the float images reached first, in that order, and tests/golden pins them
+to the bit.
 """
 
 from __future__ import annotations
@@ -112,16 +133,8 @@ class CylindricalCoords:
 
 
 class ZoneGeometry:
-    """Precomputed subspace lattice for a fixed Theta-tilde; all zone queries.
-
-    Every per-point query runs on tables built here, so it does no exact
-    arithmetic: the subspaces by index (ordered by dimension, so each child
-    precedes its parents), each subspace's children as (index, nu, L_m), a
-    boolean containment table, and the closure steps of each theta as
-    (float theta, |theta|, moves (l, l * integer key)).  A theta's integer
-    key is its exact coordinates (rational and surd parts) times the common
-    denominator of S, so offsets, sums of l * theta, compare exactly as
-    integer tuples."""
+    """Precomputed subspace lattice and closure steps for a fixed Theta-tilde
+    (the tables of the module docstring); all zone queries."""
 
     def __init__(self, S: FrequencySet, zp: ZoneParameters):
         if zp.dimension and zp.dimension != S.dimension:

@@ -140,9 +140,9 @@ def test_gauge_symmetry_and_support(rational_basis, cf1, mathieu1d, rng):
     (0.32, 0.26, (-1.460769454850074, -1662.6667052615041)),
 ])
 def test_w_k3_symmetric_at_large_xi(axes2d, rational_basis, a1, a2, xi):
-    """w at ktilde = 3 is symmetric to is_symmetric's absolute 1e-12 at the
-    points where forming [|xi|^2, g] as a difference of two compositions,
-    with terms of size |xi|^2 ~ 1e7, missed it by 1.7e-12 to 3.1e-12."""
+    """w at ktilde = 3 is symmetric to is_symmetric's absolute 1e-12 at large
+    |xi|.  [|xi|^2, g] formed as a difference of two compositions, with
+    terms of size |xi|^2 ~ 1e7, misses it here by 1.7e-12 to 3.1e-12."""
     e1, e2 = freq([1, 0], rational_basis), freq([0, 1], rational_basis)
     b = multiplication_symbol({e1: a1, -e1: a1, e2: a2, -e2: a2})
     zp = ZoneParameters.create(RHO, 2, ktilde=3)
@@ -341,9 +341,9 @@ def _mp_class_norm(sym, pts, memos):
 
 def test_gauge_report_norms_match_high_precision():
     """The axes2d gauge report's psi_2 and remainder class norms agree with a
-    50-digit evaluation of the same DAG to 1e-15.  They did not while the
-    Laplacian commutator was formed as |xi+phi|^2 g - g |xi|^2, which lost
-    8.5e-14 and 2.1e-12 to cancellation at |xi|^2 ~ 1e7."""
+    50-digit evaluation of the same DAG to 1e-15.  A Laplacian commutator
+    formed as |xi+phi|^2 g - g |xi|^2 misses by 8.5e-14 and 2.1e-12: its
+    terms of size |xi|^2 ~ 1e7 cancel."""
     from spectra_lab.config import parse_config
     from spectra_lab.frequency import (FrequencySet, GeneratorBasis,
                                        potential_frequencies)

@@ -21,7 +21,10 @@ only:
     theta is its exact coordinates, rational and surd parts, times the common
     denominator of S.  That map is injective and linear, so an offset
     sum_k l_k theta_k is keyed exactly by the integer tuple sum_k l_k key_k,
-    and two closure points merge exactly when their offsets are equal.
+    and two closure points merge exactly when their offsets are equal.  Of
+    theta and -theta only the first in S's order has steps: from any point,
+    -theta's moves reach theta's candidates with the same floats (up to the
+    sign of a zero coordinate), slab tests and offsets, so they add nothing.
 The float steps (eta + l theta and the slab projections) and the order in
 which the closure visits points are part of the result: class points are
 the float images reached first, in that order, and tests/golden pins them
@@ -163,11 +166,15 @@ class ZoneGeometry:
                               for row in t.coords for x in row))
         self._zero_key = (0,) * (2 * self.d)
         self._steps = []
+        keys = set()
         for t in nonzero:
+            key = tuple(int(x * denom) for row in t.coords for x in row)
+            if tuple(-k for k in key) in keys:
+                continue  # -theta's moves land on theta's points, by value and offset
+            keys.add(key)
             tf = t.to_float()
             nrm = np.linalg.norm(tf)
             lmax = int(math.ceil(2.0 * self._L1 / nrm))
-            key = tuple(int(x * denom) for row in t.coords for x in row)
             moves = tuple((l, tuple(l * k for k in key))
                           for l in range(-lmax, lmax + 1) if l != 0)
             self._steps.append((tf, nrm, moves))

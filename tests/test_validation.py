@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from spectra_lab.validation import (ExpansionCoefficients, MatrixFamily,
                                     coefficients_from_potential,
                                     diagonal_growth_check, expansion_eval,
                                     fit_power_coefficient, free_offdiagonal,
-                                    random_family, residual_ladder,
+                                    random_family, refine_contour_identity,
+                                    residual_ladder,
                                     resolvent_series_check,
                                     scalar_free_family, weyl_constant)
 
@@ -175,3 +178,53 @@ def test_diagonal_growth():
     vals = weyl_constant(1) * np.sqrt(lam)
     assert diagonal_growth_check(lam, vals, 1)["passed"]
     assert not diagonal_growth_check(lam, 100.0 * vals, 1)["passed"]
+
+
+# -- golden values: criterion 08's contour sides and projection records ----------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "contour_values.json")
+CONTOUR_KEYS = ("lhs", "rhs_real", "rhs_imag")
+RECORD_KEYS = ("lhs_norm", "lhs_vector", "rhs_vector")
+PROJECTION_SETTINGS = [(s, eps) for s in (0, 2) for eps in (1e-2, 1e-4)]
+
+
+def _hex_sides(rep):
+    return {k: float.hex(rep[k]) for k in CONTOUR_KEYS}
+
+
+def golden_contour_values():
+    """Everything tests/golden/contour_values.json holds, computed afresh, as
+    hex floats: criterion 08's contour sides per level for seeds 0-19 and the
+    scalar family, and check_projection_perturbation(50, s, eps, 100, 7 + i)
+    for the i-th (s, eps) of PROJECTION_SETTINGS."""
+    contour = {"scalar": _hex_sides(
+        check_contour_identity(scalar_free_family(), (1.0, 4.0)))}
+    for seed in range(20):
+        rep = refine_contour_identity(random_family(4, 2, seed), (1.0, 4.0),
+                                      levels=2)
+        contour[str(seed)] = [_hex_sides(lv) for lv in rep["levels"]]
+    projection = []
+    for i, (s, eps) in enumerate(PROJECTION_SETTINGS):
+        rep = check_projection_perturbation(50, s, eps, 100, seed=7 + i)
+        projection.append({
+            "s": s, "eps": eps, "seed": 7 + i,
+            "min_slack_norm": float.hex(rep["min_slack_norm"]),
+            "min_slack_vector": float.hex(rep["min_slack_vector"]),
+            "records": [{k: float.hex(r[k]) for k in RECORD_KEYS}
+                        for r in rep["records"]],
+        })
+    return {"contour": contour, "projection": projection}
+
+
+def test_contour_values_golden():
+    with open(GOLDEN) as fh:
+        want = json.load(fh)
+    # hex strings compare equal exactly when the floats are bit-identical
+    assert golden_contour_values() == want
+
+
+if __name__ == "__main__":
+    # Regenerate the golden file: PYTHONPATH=src python tests/test_validation.py
+    with open(GOLDEN, "w") as fh:
+        json.dump(golden_contour_values(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -387,18 +387,22 @@ def compose(b: Symbol, g: Symbol) -> Symbol:
 def class_norm(sym: Symbol, grid: XiGrid) -> float:
     """sum_theta sup_grid |bhat(theta, xi)|."""
     pts = np.asarray(grid.points, dtype=float)
+    memo = {}  # shared across theta: each node is evaluated once on the grid
     total = 0.0
     for ex in sym.coeffs.values():
-        total += float(np.abs(ex.eval(pts)).max(initial=0.0))
+        total += float(np.abs(ex._memo(pts, memo)).max(initial=0.0))
     return total
 
 
 def is_symmetric(sym: Symbol, grid: XiGrid, tol: float = 1e-12) -> bool:
     """bhat(theta, xi) == conj(bhat(-theta, xi+theta)) on the grid."""
     pts = np.asarray(grid.points, dtype=float)
+    # the left-hand sides share one memo at pts; each right-hand side is the
+    # only evaluation on its grid pts + theta, so eval's own memo serves it
+    memo = {}
     for th, ex in sym.coeffs.items():
         mirror = sym.coeff(-th)
-        lhs = ex.eval(pts)
+        lhs = ex._memo(pts, memo)
         rhs = np.conj(mirror.eval(pts + th.to_float()))
         if np.abs(lhs - rhs).max(initial=0.0) > tol:
             return False

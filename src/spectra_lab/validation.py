@@ -6,6 +6,7 @@ for monotone quadratic matrix families.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -243,7 +244,7 @@ def check_projection_perturbation(n: int, s: int, eps: float, trials: int,
         ev = a + 1.0 + 9.0 * (ev - ev[0]) / (span if span > 0 else 1.0)
         U = np.linalg.qr(_random_hermitian(rng, n)
                          + 1j * _random_hermitian(rng, n))[0]
-        H2 = U @ np.diag(ev) @ U.conj().T
+        H2 = (U * ev) @ U.conj().T
         H2 = (H2 + H2.conj().T) / 2.0
 
         E = _random_hermitian(rng, n)
@@ -252,22 +253,24 @@ def check_projection_perturbation(n: int, s: int, eps: float, trials: int,
         E *= 0.5 * eps / cur
         H1 = H2 + E
 
+        # V diag(x) V^H as (V * x) V^H: scaling the columns gives the bits of
+        # the product with the diagonal matrix, one matrix product fewer
         ev2, V2 = np.linalg.eigh(H2)
         ev1, V1 = np.linalg.eigh(H1)
-        P1_low = V1 @ np.diag(_spectral_indicator(ev1, -np.inf, lam - delta)) \
+        P1_low = (V1 * _spectral_indicator(ev1, -np.inf, lam - delta)) \
             @ V1.conj().T
-        P2_high = V2 @ np.diag(_spectral_indicator(ev2, lam + delta, np.inf)) \
+        P2_high = (V2 * _spectral_indicator(ev2, lam + delta, np.inf)) \
             @ V2.conj().T
-        W2 = V2 @ np.diag((ev2 - a + 1.0) ** s) @ V2.conj().T
+        W2 = (V2 * (ev2 - a + 1.0) ** s) @ V2.conj().T
         lhs1 = np.linalg.norm(P1_low @ P2_high @ W2, 2)
 
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         f /= np.linalg.norm(f)
-        P2_lam = V2 @ np.diag(_spectral_indicator(ev2, -np.inf, lam)) @ V2.conj().T
-        P1_lam = V1 @ np.diag(_spectral_indicator(ev1, -np.inf, lam)) @ V1.conj().T
-        P2_win = V2 @ np.diag(_spectral_indicator(ev2, lam - delta, lam + delta)) \
+        P2_lam = (V2 * _spectral_indicator(ev2, -np.inf, lam)) @ V2.conj().T
+        P1_lam = (V1 * _spectral_indicator(ev1, -np.inf, lam)) @ V1.conj().T
+        P2_win = (V2 * _spectral_indicator(ev2, lam - delta, lam + delta)) \
             @ V2.conj().T
-        Winv = V2 @ np.diag((ev2 - a + 1.0) ** (-s)) @ V2.conj().T
+        Winv = (V2 * (ev2 - a + 1.0) ** (-s)) @ V2.conj().T
         lhs2 = np.linalg.norm(P2_lam @ f - P1_lam @ f)
         rhs2 = (2.0 * np.linalg.norm(P2_win @ f)
                 + 2.0 * math.pi * eps / delta * np.linalg.norm(P2_lam @ f)
@@ -296,8 +299,16 @@ class MatrixFamily:
     coeffs: tuple  # tuple of (n, n) Hermitian ndarrays
 
     def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("need at least one polynomial coefficient")
+        shape = np.shape(self.coeffs[0])
         for C in self.coeffs:
-            if not np.allclose(C, np.asarray(C).conj().T, atol=1e-13):
+            C = np.asarray(C)
+            if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape != shape:
+                raise ValueError("polynomial coefficients must be square "
+                                 "and of one size")
+            # absolute: numpy's default rtol would pass |C - C^H| ~ 1e-5 |C|
+            if not np.allclose(C, C.conj().T, rtol=0.0, atol=1e-13):
                 raise ValueError("polynomial coefficients must be Hermitian")
 
     @property
@@ -338,8 +349,14 @@ def scalar_free_family() -> MatrixFamily:
     return MatrixFamily((np.zeros((1, 1)),))
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1]; shared, never modified."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _gauss_nodes(a: float, b: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -368,6 +385,10 @@ class QuadratureConfig:
     min_sv: float = 1e-6   # ContourTooClose threshold for H_2(z) - mu
 
 
+# relative rounding margin of the contour guard's Weyl bound, per unit of n
+_GUARD_ROUNDING = 2.0**10 * np.finfo(float).eps
+
+
 def _const_ones(n: int):
     v = np.ones(n, dtype=complex)
 
@@ -384,7 +405,20 @@ def check_contour_identity(fam: MatrixFamily, interval: Sequence[float],
     """Both sides of the spectral identity
     int_a^b (E_{[lam', lam'']}(H_2(r)) f(r), g(r)) dr
       = (1/2 pi i) int_{lam'}^{lam''} dmu oint ((H_2(z)-mu)^{-1} f(z), g(zbar)) dz
-    over a circular contour enclosing [a, b]; reports |LHS - RHS|."""
+    over a circular contour enclosing [a, b]; reports |LHS - RHS|.
+
+    Raises ContourTooClose at the first (mu, z), mu nodes in order and z in
+    contour order, where the smallest singular value of H_2(z) - mu is below
+    quad.min_sv.  As H_2(z) - mu = (z^2 - mu) I + S(z), Weyl's inequality for
+    singular values gives sigma_min >= |z^2 - mu| - ||S(z)||_2, which takes
+    one svd per z.  A point needs no svd of its own when this bound, less a
+    rounding margin of 1024 n eps (|z^2| + |mu| + ||S(z)||_2) (eps the machine
+    epsilon, n the size), is at least min_sv; the margin is ample for the
+    rounding in forming H_2(z) - mu and S(z) and in the singular values.
+    The exact svd runs at the other points only, so the check raises on the
+    same inputs, at the same point and with the same message as one svd at
+    every (mu, z).
+    """
     lam_lo, lam_hi = float(interval[0]), float(interval[1])
     if not lam_lo < lam_hi:
         raise ValueError("need lambda' < lambda''")
@@ -415,8 +449,8 @@ def check_contour_identity(fam: MatrixFamily, interval: Sequence[float],
         if right - left < 1e-14:
             continue
         nodes, weights = _gauss_nodes(left, right, quad.n_r)
-        for r, wt in zip(nodes, weights):
-            ev, V = np.linalg.eigh(fam.H2(r))
+        evs, Vs = np.linalg.eigh(np.array([fam.H2(r) for r in nodes]))
+        for r, wt, ev, V in zip(nodes, weights, evs, Vs):
             sel = (ev >= lam_lo) & (ev <= lam_hi)
             if not sel.any():
                 continue
@@ -435,17 +469,28 @@ def check_contour_identity(fam: MatrixFamily, interval: Sequence[float],
     Hs = np.array([fam.H2(z) for z in zs])
     fs = np.array([np.asarray(f(z), dtype=complex) for z in zs])
     gconj = np.conj([np.asarray(g(np.conj(z)), dtype=complex) for z in zs])
+    # the Weyl bound's parts, one svd per z; S(z) is taken as H_2(z) - z^2 I,
+    # whose rounding the margin covers
+    z2 = zs**2
+    abs_z2 = np.abs(z2)
+    s_norm = np.linalg.svd(Hs - z2[:, None, None] * np.eye(n),
+                           compute_uv=False)[:, 0]
+    rounding = _GUARD_ROUNDING * n
     rhs = 0.0 + 0.0j
-    # one stacked svd and solve per mu node; stacking every (mu, z) at once
-    # would hold n_mu times as many matrices
+    # one stacked solve per mu node; stacking every (mu, z) at once would hold
+    # n_mu times as many matrices
     for mu, mw in zip(mu_nodes, mu_weights):
         Ms = Hs - mu * np.eye(n)
-        sv_min = np.linalg.svd(Ms, compute_uv=False)[:, -1]
-        close = np.flatnonzero(sv_min < quad.min_sv)
-        if close.size:
-            raise ContourTooClose(
-                "singular value %.3e below %.1e on the contour"
-                % (sv_min[close[0]], quad.min_sv))
+        bound = (np.abs(z2 - mu) - s_norm
+                 - rounding * (abs_z2 + abs(mu) + s_norm))
+        unsure = np.flatnonzero(~(bound >= quad.min_sv))  # NaN is unsure
+        if unsure.size:
+            sv_min = np.linalg.svd(Ms[unsure], compute_uv=False)[:, -1]
+            close = np.flatnonzero(sv_min < quad.min_sv)
+            if close.size:
+                raise ContourTooClose(
+                    "singular value %.3e below %.1e on the contour"
+                    % (sv_min[close[0]], quad.min_sv))
         sols = np.linalg.solve(Ms, fs[:, :, None])[:, :, 0]
         rhs += mw * np.sum(np.einsum("ij,ij->i", gconj, sols) * dz)
     rhs = rhs / (2.0j * math.pi)

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectra_lab.errors import (CoincidingPoints, ContourTooClose,
                                 DivergentSeries)
@@ -148,6 +150,68 @@ def test_contour_too_close():
         check_contour_identity(scalar_free_family(), (1.0, 4.0), quad=quad)
 
 
+GUARD_QUAD = dict(n_r=8, n_mu=8, n_contour=32)
+
+
+def _contour_points(fam, interval, quad):
+    """The mu nodes and contour points of check_contour_identity, in order."""
+    lam_lo, lam_hi = interval
+    smax = fam.s_norm_bound(math.sqrt(lam_hi) + 1.0 + 1.0)
+    r_lo, r_hi = math.sqrt(lam_lo - smax), math.sqrt(lam_hi + smax)
+    center = 0.5 * (r_lo + r_hi)
+    radius = 0.5 * (r_hi - r_lo) + quad.margin * (r_hi - r_lo + 1.0)
+    phis = 2.0 * math.pi * np.arange(quad.n_contour) / quad.n_contour
+    x, _ = np.polynomial.legendre.leggauss(quad.n_mu)
+    mus = 0.5 * (lam_hi - lam_lo) * x + 0.5 * (lam_lo + lam_hi)
+    return mus, center + radius * np.exp(1j * phis)
+
+
+def _reference_guard(fam, interval, quad):
+    """The message of the first (mu, z), in order, where one svd of
+    H_2(z) - mu finds a singular value below quad.min_sv; None if none does."""
+    mus, zs = _contour_points(fam, interval, quad)
+    for mu in mus:
+        for z in zs:
+            M = fam.H2(z) - mu * np.eye(fam.size)
+            sv = np.linalg.svd(M, compute_uv=False)[-1]
+            if sv < quad.min_sv:
+                return ("singular value %.3e below %.1e on the contour"
+                        % (sv, quad.min_sv))
+    return None
+
+
+def _assert_guard_matches_reference(fam, quad):
+    want = _reference_guard(fam, (1.0, 4.0), quad)
+    if want is None:
+        check_contour_identity(fam, (1.0, 4.0), quad=quad)
+    else:
+        with pytest.raises(ContourTooClose) as err:
+            check_contour_identity(fam, (1.0, 4.0), quad=quad)
+        assert str(err.value) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 4]),
+       margin=st.floats(0.0, 0.3), log_min_sv=st.floats(-4.0, 1.0))
+# the bound clears only some points and the exact svd passes the rest
+@example(seed=2, n=2, margin=0.02, log_min_sv=math.log10(0.46))
+def test_contour_guard_matches_reference(seed, n, margin, log_min_sv):
+    quad = QuadratureConfig(margin=margin, min_sv=10.0**log_min_sv,
+                            **GUARD_QUAD)
+    _assert_guard_matches_reference(random_family(n, 2, seed), quad)
+
+
+def test_contour_guard_bound_certifies_nothing():
+    fam = random_family(4, 2, 0)
+    quad = QuadratureConfig(min_sv=10.0, **GUARD_QUAD)
+    mus, zs = _contour_points(fam, (1.0, 4.0), quad)
+    s_norm = np.array([np.linalg.norm(fam.S(z), 2) for z in zs])
+    weyl = np.abs(zs[None, :] ** 2 - mus[:, None]) - s_norm
+    # no (mu, z) is cleared by the bound, so the exact svd decides
+    assert weyl.max() < quad.min_sv
+    _assert_guard_matches_reference(fam, quad)
+
+
 def test_resolvent_series_rate():
     fam = random_family(4, 2, 3)
     z, mu = 2.5 + 0.0j, 4.0
@@ -171,6 +235,22 @@ def test_matrix_family_requires_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         MatrixFamily((bad,))
+    # off by 5e-3 absolute: inside numpy's default rtol of 1e-5 times 1e3
+    near = np.array([[1.0, 1e3], [1e3 + 5e-3, 2.0]])
+    with pytest.raises(ValueError, match="Hermitian"):
+        MatrixFamily((near,))
+    MatrixFamily((np.array([[1.0, 1e3], [1e3 + 1e-14, 2.0]]),))
+
+
+@pytest.mark.parametrize("coeffs", [
+    (),
+    (np.zeros((2, 3)),),
+    (np.zeros(2),),
+    (np.eye(2), np.eye(3)),
+])
+def test_matrix_family_requires_square_coefficients_of_one_size(coeffs):
+    with pytest.raises(ValueError):
+        MatrixFamily(coeffs)
 
 
 def test_diagonal_growth():

@@ -12,6 +12,7 @@ sharing.
 
 from __future__ import annotations
 
+import collections
 import struct
 import weakref
 from dataclasses import dataclass
@@ -384,12 +385,55 @@ def compose(b: Symbol, g: Symbol) -> Symbol:
     return Symbol({chi: Sum(ts) if len(ts) > 1 else ts[0] for chi, ts in out.items()})
 
 
+def _children(node: CoefficientExpr):
+    for name in node._fields:
+        v = getattr(node, name)
+        if isinstance(v, CoefficientExpr):
+            yield v
+        elif isinstance(v, tuple):
+            yield from (t for t in v if isinstance(t, CoefficientExpr))
+
+
+class _SharedMemo(dict):
+    """A memo for evaluating several roots on one grid: each node of their
+    DAG is evaluated once, and its value is dropped at its last use, so the
+    memo holds only values still to be read (a plain shared dict would hold
+    every node's values at once).  A use is one _memo call: one per
+    occurrence of the node among the roots and the children of its distinct
+    parents."""
+
+    def __init__(self, roots):
+        super().__init__()
+        uses = collections.Counter(roots)
+        seen, stack = set(), list(uses)
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            for child in _children(node):
+                uses[child] += 1
+                stack.append(child)
+        self._uses = uses
+
+    def get(self, node):
+        self._uses[node] -= 1
+        if self._uses[node]:
+            return dict.get(self, node)
+        return self.pop(node, None)
+
+    def __setitem__(self, node, value):
+        if self._uses[node]:
+            dict.__setitem__(self, node, value)
+
+
 def class_norm(sym: Symbol, grid: XiGrid) -> float:
     """sum_theta sup_grid |bhat(theta, xi)|."""
     pts = np.asarray(grid.points, dtype=float)
-    memo = {}  # shared across theta: each node is evaluated once on the grid
+    coeffs = list(sym.coeffs.values())
+    memo = _SharedMemo(coeffs)
     total = 0.0
-    for ex in sym.coeffs.values():
+    for ex in coeffs:
         total += float(np.abs(ex._memo(pts, memo)).max(initial=0.0))
     return total
 
@@ -399,7 +443,7 @@ def is_symmetric(sym: Symbol, grid: XiGrid, tol: float = 1e-12) -> bool:
     pts = np.asarray(grid.points, dtype=float)
     # the left-hand sides share one memo at pts; each right-hand side is the
     # only evaluation on its grid pts + theta, so eval's own memo serves it
-    memo = {}
+    memo = _SharedMemo(list(sym.coeffs.values()))
     for th, ex in sym.coeffs.items():
         mirror = sym.coeff(-th)
         lhs = ex._memo(pts, memo)

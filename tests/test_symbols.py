@@ -12,7 +12,8 @@ from spectra_lab.symbols import (Abs, Affine, CoefficientExpr, Const, Iota,
                                  Prod, QuadShift, Quot, Sqrt, Sum, Symbol,
                                  XiGrid, apply_to_wave, class_norm, compose,
                                  evaluate, iota, is_symmetric, laplace_symbol,
-                                 multiplication_symbol, op_matrix)
+                                 multiplication_symbol, op_matrix,
+                                 _SharedMemo)
 from spectra_lab.zones import ZoneParameters, sample_annulus
 
 
@@ -286,6 +287,19 @@ def test_memoised_eval_matches_tree_walk(w_axes2d_k3):
     for th in w_axes2d_k3.support():
         ex = w_axes2d_k3.coeff(th)
         assert ex.eval(xi).tobytes() == _walk(ex, xi).tobytes(), th
+
+
+def test_shared_memo_drops_each_value_at_its_last_use(w_axes2d_k3):
+    """The memo of class_norm and is_symmetric: every coefficient of w on one
+    grid gives eval's bits, and each node's value is read exactly as often as
+    counted, then dropped (a miscount leaves a value or reads one twice)."""
+    xi = sample_annulus(2, 1000.0, 32, np.random.default_rng(20240817))
+    coeffs = list(w_axes2d_k3.coeffs.values())
+    memo = _SharedMemo(coeffs)
+    got = [ex._memo(xi, memo) for ex in coeffs]
+    assert not memo and set(memo._uses.values()) == {0}
+    for ex, v in zip(coeffs, got):
+        assert v.tobytes() == ex.eval(xi).tobytes()
 
 
 def test_w_dag_size(w_axes2d_k3):

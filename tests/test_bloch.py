@@ -437,13 +437,64 @@ def test_oracle_d1_golden(tmp_path):
         _assert_csv_matches(got["csv"][cmd], want["csv"][cmd], cmd)
 
 
+# -- golden values: the banded and complex d = 1 oracle fibers -------------------
+
+GOLDEN_BANDED = os.path.join(os.path.dirname(__file__), "golden",
+                             "oracle_banded.json")
+# (name, {theta: coefficient}, M_cut, ladder): a real pentadiagonal fiber, a
+# bandwidth-3 fiber with a constant term, and a complex Hermitian fiber; each
+# ladder stays under its ceiling (M_cut / 2)^2
+BANDED_CASES = [
+    ("penta", {1: 0.2, -1: 0.2, 2: 0.1, -2: 0.1}, 64, (100.0, 1000.0)),
+    ("bw3_const", {0: 0.1, 1: 0.2, -1: 0.2, 3: 0.07, -3: 0.07}, 60, (100.0, 800.0)),
+    ("complex", {1: 0.1 + 0.05j, -1: 0.1 - 0.05j, 2: 0.03j, -2: -0.03j}, 40,
+     (50.0, 350.0)),
+]
+
+
+def golden_oracle_banded():
+    """Everything tests/golden/oracle_banded.json holds, computed afresh:
+    BlochOracle1D.evaluate on a 12-rung ladder at GOLDEN_POINTS per case."""
+    out = []
+    for name, b, m_cut, (lo, hi) in BANDED_CASES:
+        lams = np.geomspace(lo, hi, 12)
+        oracle = BlochOracle1D({(t,): c for t, c in b.items()}, M_cut=m_cut)
+        points = [{"x": x, "y": y, "values": oracle.evaluate(lams, x, y).tolist()}
+                  for x, y in GOLDEN_POINTS]
+        out.append({"name": name, "M_cut": m_cut, "lambda": lams.tolist(),
+                    "oracle": points})
+    return out
+
+
+def test_oracle_banded_golden():
+    with open(GOLDEN_BANDED) as fh:
+        want = json.load(fh)
+    got = golden_oracle_banded()
+    assert [g["name"] for g in got] == [w["name"] for w in want]
+    for g_case, w_case in zip(got, want):
+        assert g_case["lambda"] == w_case["lambda"]
+        assert g_case["M_cut"] == w_case["M_cut"]
+        for g, w in zip(g_case["oracle"], w_case["oracle"], strict=True):
+            assert (g["x"], g["y"]) == (w["x"], w["y"])
+            err = np.max(np.abs(np.array(g["values"]) - w["values"]))
+            assert err <= GOLDEN_TOL, (g_case["name"], g["x"], g["y"], err)
+
+
 if __name__ == "__main__":
-    # Regenerate the golden file: PYTHONPATH=src python tests/test_bloch.py
+    # Regenerate golden files: PYTHONPATH=src python tests/test_bloch.py [NAME ...]
+    # with NAME in {oracle_d1, oracle_banded}; no NAME regenerates both
+    import sys
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        payload = golden_oracle_d1(tmp)
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    def d1_payload():
+        with tempfile.TemporaryDirectory() as tmp:
+            return golden_oracle_d1(tmp)
+
+    makers = {"oracle_d1": (GOLDEN, d1_payload),
+              "oracle_banded": (GOLDEN_BANDED, golden_oracle_banded)}
+    for name in sys.argv[1:] or list(makers):
+        path, make = makers[name]
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(make(), fh, indent=1, sort_keys=True)
+            fh.write("\n")

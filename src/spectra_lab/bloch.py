@@ -15,9 +15,16 @@ Two quadratures are provided:
     |x - y| = 1 on lambda in [50, 800].
 
 A fiber is real whenever every Fourier coefficient is real (every even
-potential).  In d = 1 it is banded with half-bandwidth max |theta|; a real
-tridiagonal fiber (a single cosine, or b = 0) that needs every eigenpair below
-a cut is solved whole by divide and conquer (LAPACK stevd) and then cut.
+potential).  In d = 1 it is banded with half-bandwidth max |theta|, and
+LAPACK serves its solves by route:
+  * every eigenpair below a cut (both midpoint grids, the oracle's grid and
+    band edges): the whole spectrum by divide and conquer, then the cut;
+    stevd for a real tridiagonal fiber (a single cosine, or b = 0), sbevd for
+    any other real fiber, hbevd for a complex one;
+  * one eigenpair by index (the oracle's crossing energy and its Gauss-node
+    vectors): bisection and inverse iteration (stebz + stein) on a real
+    tridiagonal fiber, sbevx / hbevx on any other.  Inside (0, 1/2) the
+    fiber eigenvalues are simple (Hill's equation), so an index is a band.
 BlochOracle1D keeps the grid eigenvectors and, per (band, lambda), the
 crossing point and the Gauss-node eigenvectors of the crossing band, so a
 later point x, y only forms amplitudes.  In d = 2 the fiber is dense on the
@@ -241,21 +248,26 @@ def _eig_banded_k(k: float, ms: np.ndarray, four: dict, bw: int,
         elif t > 0:
             # entry (m + t, m): lower band t; negative t is the Hermitian mirror
             ab[t, : n - t] = c.real if real else c
-    if real and bw <= 1 and index is None:
-        # the whole real tridiagonal spectrum by divide and conquer, then the cut
-        off = ab[1, : n - 1] if bw else np.zeros(n - 1)
+    tri = real and bw <= 1
+    off = (ab[1, : n - 1] if bw else np.zeros(n - 1)) if tri else None
+    if index is not None:
+        # one eigenpair: bisection and inverse iteration (stebz + stein) on a
+        # real tridiagonal fiber, sbevx / hbevx on any other
+        sel = {"select": "i", "select_range": (index, index)}
+        if tri:
+            out = eigh_tridiagonal(ab[0], off, eigvals_only=not vectors, **sel)
+        else:
+            out = eig_banded(ab, lower=True, eigvals_only=not vectors, **sel)
+        return out if vectors else (out, None)
+    # the whole spectrum by divide and conquer (stevd, sbevd, hbevd), then the cut
+    if tri:
         out = eigh_tridiagonal(ab[0], off, eigvals_only=not vectors,
                                lapack_driver="stevd")
-        w, v = out if vectors else (out, None)
-        keep = w <= (np.inf if emax is None else emax)
-        return w[keep], (v[:, keep] if vectors else None)
-    kw = {}
-    if index is not None:
-        kw = {"select": "i", "select_range": (index, index)}
-    elif emax is not None:
-        kw = {"select": "v", "select_range": (-np.inf, emax)}
-    out = eig_banded(ab, lower=True, eigvals_only=not vectors, **kw)
-    return out if vectors else (out, None)
+    else:
+        out = eig_banded(ab, lower=True, eigvals_only=not vectors)
+    w, v = out if vectors else (out, None)
+    keep = w <= (np.inf if emax is None else emax)
+    return w[keep], (v[:, keep] if vectors else None)
 
 
 def _wave_amp(vecs: np.ndarray, phase: np.ndarray) -> np.ndarray:

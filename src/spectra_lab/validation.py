@@ -14,7 +14,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import CoincidingPoints, ContourTooClose, DivergentSeries
+from .errors import (CoincidingPoints, ContourTooClose, DivergentSeries,
+                     NonHermitianPotential)
+from .frequency import hermitian_violations
 
 
 def weyl_constant(d: int) -> float:
@@ -38,28 +40,42 @@ class ExpansionCoefficients:
 
 
 def coefficients_from_potential(b, L: int) -> ExpansionCoefficients:
-    """Closed-form a_1, a_2 of a trigonometric potential, lambdified."""
-    import sympy as sp
-
-    from .heat import _xy_vars, closed_form_a
-
+    """a_1 = c_1 b and a_2 = c_2 (3 b^2 - Delta b) of a trigonometric potential
+    b (a heat.TrigPotential), evaluated in numpy from its Fourier table, with
+    c_1 = -(d/2) C_d and c_2 = d (d - 2)/24 C_d, C_d = weyl_constant(d).
+    heat.closed_form_a is the exact form of both.  Raises ValueError for
+    L > 2 and NonHermitianPotential unless b is real-valued."""
     if L > 2:
         raise ValueError("closed forms available for L <= 2")
     d = b.dimension
-    xs, _ = _xy_vars(d)
-    funcs = []
-    for j in range(1, L + 1):
-        expr = closed_form_a(b, j)
-        fn = sp.lambdify(xs, expr, "numpy")
+    table = {}
+    for th, c in b.fourier:
+        key = tuple(float(t) for t in th)
+        table[key] = table.get(key, 0j) + complex(c)
+    bad = hermitian_violations(table)
+    if bad:
+        raise NonHermitianPotential(bad[0])
+    thetas = np.array(list(table), dtype=float).reshape(-1, d)
+    coefs = np.array(list(table.values()), dtype=complex)
+    sq = (thetas ** 2).sum(axis=1)
+    c1 = -d / 2.0 * weyl_constant(d)
+    c2 = d * (d - 2) / 24.0 * weyl_constant(d)
 
-        def wrap(x, fn=fn, d=d):
-            pt = np.atleast_1d(np.asarray(x, dtype=float))
-            if pt.size != d:
-                raise ValueError("point has wrong dimension")
-            return float(np.real(fn(*pt)))
+    def waves(x):
+        pt = np.atleast_1d(np.asarray(x, dtype=float))
+        if pt.size != d:
+            raise ValueError("point has wrong dimension")
+        return coefs * np.exp(1j * (thetas @ pt))
 
-        funcs.append(wrap)
-    return ExpansionCoefficients(d, tuple(funcs))
+    def a1(x):
+        return c1 * waves(x).sum().real
+
+    def a2(x):
+        w = waves(x)
+        # Delta e^{i<theta, x>} = -|theta|^2 e^{i<theta, x>}
+        return c2 * (3.0 * w.sum().real ** 2 + (sq * w).sum().real)
+
+    return ExpansionCoefficients(d, (a1, a2)[:max(L, 0)])
 
 
 def expansion_eval(coeffs: ExpansionCoefficients, lam, x,

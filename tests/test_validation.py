@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectra_lab.errors import (CoincidingPoints, ContourTooClose,
-                                DivergentSeries)
+                                DivergentSeries, NonHermitianPotential)
 from spectra_lab.validation import (ExpansionCoefficients, MatrixFamily,
                                     QuadratureConfig, binned_envelope,
                                     check_contour_identity,
@@ -42,6 +42,56 @@ def test_expansion_with_a1():
     val = expansion_eval(coeffs, 100.0, [0.0], L=1)
     want = 10.0 / math.pi + (-1.0 / math.pi) * 0.1
     assert abs(val - want) < 1e-13
+
+
+# exact coefficients as sympy strings; d3 has a complex Hermitian pair
+COEFFICIENT_TABLES = {
+    "tri": (1, {(1,): "1/5", (-1,): "1/5"}),
+    "penta": (1, {(1,): "1/5", (-1,): "1/5", (2,): "1/10", (-2,): "1/10"}),
+    "const": (1, {(0,): "1/10", (1,): "1/5", (-1,): "1/5", (3,): "7/100",
+                  (-3,): "7/100"}),
+    "axes2d": (2, {(1, 0): "3/10", (-1, 0): "3/10", (0, 1): "1/4",
+                   (0, -1): "1/4"}),
+    "d3": (3, {(1, 0, 0): "1/5", (-1, 0, 0): "1/5", (0, 1, 1): "1/10 + I/20",
+               (0, -1, -1): "1/10 - I/20", (1, 0, 2): "1/20",
+               (-1, 0, -2): "1/20"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_TABLES))
+def test_coefficients_match_closed_form(name):
+    """a_1, a_2 from the Fourier data against the lambdified exact
+    heat.closed_form_a at 20 seeded points; in d = 2 a_2 is exactly 0.0."""
+    import sympy as sp
+
+    from spectra_lab.heat import TrigPotential, _xy_vars, closed_form_a
+
+    d, table = COEFFICIENT_TABLES[name]
+    b = TrigPotential.build(d, {th: sp.sympify(c) for th, c in table.items()})
+    coeffs = coefficients_from_potential(b, 2)
+    xs, _ = _xy_vars(d)
+    exact = [sp.lambdify(xs, closed_form_a(b, j), "numpy") for j in (1, 2)]
+    rng = np.random.default_rng(2024)
+    for x in rng.uniform(-2 * math.pi, 2 * math.pi, (20, d)):
+        got = coeffs.values(x)
+        want = [float(np.real(f(*x))) for f in exact]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-15, (x, got, want)
+        if d == 2:
+            assert got[1] == 0.0
+
+
+def test_coefficients_reject_bad_input():
+    from spectra_lab.heat import TrigPotential
+
+    b = TrigPotential.build(1, {(1,): 1, (-1,): 1})
+    with pytest.raises(ValueError):
+        coefficients_from_potential(b, 3)
+    with pytest.raises(ValueError):
+        coefficients_from_potential(b, 2).values([0.0, 1.0])
+    # no conjugate partner, and a purely imaginary b = 0.2i (e^{ix} + e^{-ix})
+    for table in ({(1,): 0.2}, {(1,): 0.2j, (-1,): 0.2j}):
+        with pytest.raises(NonHermitianPotential):
+            coefficients_from_potential(TrigPotential.build(1, table), 2)
 
 
 def test_free_offdiagonal_d1_identity():

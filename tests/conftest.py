@@ -36,3 +36,25 @@ def mathieu1d(rational_basis):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+
+def contour_runs():
+    """Criterion 08's contour runs: the scalar free family's
+    check_contour_identity and, per seed 0-19, the two-level
+    refine_contour_identity of random_family(4, 2, seed), both on (1, 4)."""
+    from spectra_lab.validation import (check_contour_identity, random_family,
+                                        refine_contour_identity,
+                                        scalar_free_family)
+
+    scalar = check_contour_identity(scalar_free_family(), (1.0, 4.0))
+    refined = [refine_contour_identity(random_family(4, 2, seed), (1.0, 4.0),
+                                       levels=2) for seed in range(20)]
+    return scalar, refined
+
+
+@pytest.fixture(scope="session")
+def criterion_08_contour():
+    """contour_runs() once per session, for criterion 08 and the contour
+    value pins."""
+    return contour_runs()

@@ -37,12 +37,10 @@ from spectra_lab.heat import (TrigPotential, closed_form_a, cosine_potential,
                               discrepancy_report)
 from spectra_lab.symbols import XiGrid, is_symmetric, multiplication_symbol
 from spectra_lab.validation import (binned_envelope,
-                                    check_contour_identity,
                                     check_projection_perturbation,
                                     coefficients_from_potential, expansion_eval,
                                     fit_power_coefficient, free_offdiagonal,
-                                    random_family, refine_contour_identity,
-                                    residual_ladder, scalar_free_family)
+                                    residual_ladder)
 from spectra_lab.zones import ZoneGeometry, ZoneParameters, sample_annulus
 
 RHO = 1000.0
@@ -162,13 +160,11 @@ def test_criterion_07_perturbation_lemmas():
             assert rep["passed"], (s, eps)
 
 
-def test_criterion_08_contour_identity():
-    rep = check_contour_identity(scalar_free_family(), (1.0, 4.0))
+def test_criterion_08_contour_identity(criterion_08_contour):
+    rep, refined = criterion_08_contour
     assert abs(rep["lhs"] - 1.0) <= 1e-10
     assert rep["abs_diff"] <= 1e-10
-    for seed in range(20):
-        fam = random_family(4, 2, seed)
-        rep = refine_contour_identity(fam, (1.0, 4.0), levels=2)
+    for seed, rep in enumerate(refined):
         assert rep["final_abs_diff"] <= 1e-8, seed
 
 

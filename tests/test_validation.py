@@ -322,16 +322,15 @@ def _hex_sides(rep):
     return {k: float.hex(rep[k]) for k in CONTOUR_KEYS}
 
 
-def golden_contour_values():
-    """Everything tests/golden/contour_values.json holds, computed afresh, as
-    hex floats: criterion 08's contour sides per level for seeds 0-19 and the
-    scalar family, and check_projection_perturbation(50, s, eps, 100, 7 + i)
-    for the i-th (s, eps) of PROJECTION_SETTINGS."""
-    contour = {"scalar": _hex_sides(
-        check_contour_identity(scalar_free_family(), (1.0, 4.0)))}
-    for seed in range(20):
-        rep = refine_contour_identity(random_family(4, 2, seed), (1.0, 4.0),
-                                      levels=2)
+def golden_contour_values(runs):
+    """Everything tests/golden/contour_values.json holds, as hex floats:
+    criterion 08's contour sides per level for seeds 0-19 and the scalar
+    family, read from runs = conftest.contour_runs(), and
+    check_projection_perturbation(50, s, eps, 100, 7 + i) for the i-th
+    (s, eps) of PROJECTION_SETTINGS, computed afresh."""
+    scalar, refined = runs
+    contour = {"scalar": _hex_sides(scalar)}
+    for seed, rep in enumerate(refined):
         contour[str(seed)] = [_hex_sides(lv) for lv in rep["levels"]]
     projection = []
     for i, (s, eps) in enumerate(PROJECTION_SETTINGS):
@@ -346,15 +345,18 @@ def golden_contour_values():
     return {"contour": contour, "projection": projection}
 
 
-def test_contour_values_golden():
+def test_contour_values_golden(criterion_08_contour):
     with open(GOLDEN) as fh:
         want = json.load(fh)
     # hex strings compare equal exactly when the floats are bit-identical
-    assert golden_contour_values() == want
+    assert golden_contour_values(criterion_08_contour) == want
 
 
 if __name__ == "__main__":
     # Regenerate the golden file: PYTHONPATH=src python tests/test_validation.py
+    from conftest import contour_runs
+
     with open(GOLDEN, "w") as fh:
-        json.dump(golden_contour_values(), fh, indent=1, sort_keys=True)
+        json.dump(golden_contour_values(contour_runs()), fh, indent=1,
+                  sort_keys=True)
         fh.write("\n")

@@ -248,26 +248,22 @@ def _eig_banded_k(k: float, ms: np.ndarray, four: dict, bw: int,
         elif t > 0:
             # entry (m + t, m): lower band t; negative t is the Hermitian mirror
             ab[t, : n - t] = c.real if real else c
-    tri = real and bw <= 1
-    off = (ab[1, : n - 1] if bw else np.zeros(n - 1)) if tri else None
-    if index is not None:
-        # one eigenpair: bisection and inverse iteration (stebz + stein) on a
-        # real tridiagonal fiber, sbevx / hbevx on any other
-        sel = {"select": "i", "select_range": (index, index)}
-        if tri:
-            out = eigh_tridiagonal(ab[0], off, eigvals_only=not vectors, **sel)
-        else:
-            out = eig_banded(ab, lower=True, eigvals_only=not vectors, **sel)
-        return out if vectors else (out, None)
-    # the whole spectrum by divide and conquer (stevd, sbevd, hbevd), then the cut
-    if tri:
+    # one eigenpair by index, or the whole spectrum and then the cut at emax
+    sel = {} if index is None else {"select": "i", "select_range": (index, index)}
+    if real and bw <= 1:
+        # stebz + stein for one eigenpair, stevd (divide and conquer) for all
+        off = ab[1, : n - 1] if bw else np.zeros(n - 1)
         out = eigh_tridiagonal(ab[0], off, eigvals_only=not vectors,
-                               lapack_driver="stevd")
+                               lapack_driver="stevd" if index is None else "stebz",
+                               **sel)
     else:
-        out = eig_banded(ab, lower=True, eigvals_only=not vectors)
+        # sbevx / hbevx for one eigenpair, sbevd / hbevd for all
+        out = eig_banded(ab, lower=True, eigvals_only=not vectors, **sel)
     w, v = out if vectors else (out, None)
-    keep = w <= (np.inf if emax is None else emax)
-    return w[keep], (v[:, keep] if vectors else None)
+    if index is None and emax is not None:
+        keep = w <= emax
+        w, v = w[keep], (v[:, keep] if vectors else None)
+    return w, v
 
 
 def _wave_amp(vecs: np.ndarray, phase: np.ndarray) -> np.ndarray:

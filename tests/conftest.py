@@ -38,7 +38,6 @@ def rng():
     return np.random.default_rng(12345)
 
 
-
 def contour_runs():
     """Criterion 08's contour runs: the scalar free family's
     check_contour_identity and, per seed 0-19, the two-level

@@ -271,8 +271,6 @@ def test_oracle_cache_deterministic(b):
 
 # -- d = 1 fiber solver routes ----------------------------------------------------
 
-EPS = np.finfo(float).eps
-
 
 @st.composite
 def banded_tables(draw):
@@ -309,16 +307,16 @@ def test_eig_banded_routes_match_dense(table, k, M_cut, where):
     two solvers agree within tol = 2 n eps ||A||_1 (5.8e-10 at n = 161).  The
     complex pentadiagonal fiber at M_cut = 76, k = 0 shows the scale: against
     a 40-digit reference the banded solvers are off by 2.7e-11 near E = 5,300
-    and a dense eigh by 8e-12.  By Davis-Kahan an eigenvector with gap g to the rest of the
-    spectrum turns by at most tol / g, and 1 - |<v, v_dense>| <= (tol / g)^2 / 2
-    <= 1e-10 once g >= 1e5 tol; only eigenvectors so separated are compared
-    (at k = 0 and 1/2 the high bands pair up within rounding and their
-    eigenvectors are not determined)."""
+    and a dense eigh by 8e-12.  By Davis-Kahan an eigenvector with gap g to
+    the rest of the spectrum turns by at most tol / g, and
+    1 - |<v, v_dense>| <= (tol / g)^2 / 2 <= 1e-10 once g >= 1e5 tol; only
+    eigenvectors so separated are compared (at k = 0 and 1/2 the high bands
+    pair up within rounding and their eigenvectors are not determined)."""
     four = lattice_fourier(table, 1)
     ms, bw = _banded_rep(four, M_cut)
     A = build_fiber(k, table, M_cut).matrix
     W, V = np.linalg.eigh(A)
-    tol = 2 * ms.size * EPS * np.abs(A).sum(axis=0).max()
+    tol = 2 * ms.size * np.finfo(float).eps * np.abs(A).sum(axis=0).max()
     gaps = np.diff(W)
     gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
 

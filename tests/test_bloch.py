@@ -393,17 +393,22 @@ def test_midpoint_d2_separable(Nk, y):
         assert np.max(np.abs(got - want)) <= 1e-12, (a, c)
 
 
+# a table with the off-axis theta +-(1, 1), its ladder and its point pairs
+DIAGONAL_D2 = {(1, 0): 0.2, (-1, 0): 0.2, (0, 1): 0.15, (0, -1): 0.15,
+               (1, 1): 0.1, (-1, -1): 0.1}
+DIAGONAL_D2_LAMS = np.geomspace(2.0, 9.0, 5)
+DIAGONAL_D2_PAIRS = (((0.3, 1.1), (0.3, 1.1)), ((0.3, 1.1), (1.2, -0.5)))
+
+
 def test_midpoint_d2_translation_covariance():
     """e^{b_s}_lambda(x, y) = e^b_lambda(x + s, y + s) in d = 2, through the
     complex fiber: b has +-e1, +-e2 and +-(1, 1)."""
-    b = {(1, 0): 0.2, (-1, 0): 0.2, (0, 1): 0.15, (0, -1): 0.15,
-         (1, 1): 0.1, (-1, -1): 0.1}
     s = np.array([0.7, -1.9])
-    lams = np.geomspace(2.0, 9.0, 5)
-    for x, y in (((0.3, 1.1), (0.3, 1.1)), ((0.3, 1.1), (1.2, -0.5))):
+    for x, y in DIAGONAL_D2_PAIRS:
         x, y = np.array(x), np.array(y)
-        want = spectral_function(lams, x + s, y + s, b, 6, 4, d=2)
-        got = spectral_function(lams, x, y, _shifted(b, s), 6, 4, d=2)
+        want = spectral_function(DIAGONAL_D2_LAMS, x + s, y + s, DIAGONAL_D2, 6, 4, d=2)
+        got = spectral_function(DIAGONAL_D2_LAMS, x, y, _shifted(DIAGONAL_D2, s),
+                                6, 4, d=2)
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -558,18 +563,75 @@ def test_oracle_banded_golden():
             assert err <= GOLDEN_TOL, (g_case["name"], g["x"], g["y"], err)
 
 
+# -- golden values: the d = 2 midpoint ---------------------------------------------
+
+GOLDEN_D2 = os.path.join(os.path.dirname(__file__), "golden", "midpoint_d2.json")
+NEARBY_D2 = np.array([100.0, 0.0]), np.array([100.0009, 0.0])
+
+
+def golden_midpoint_d2(tmp_dir):
+    """Everything tests/golden/midpoint_d2.json holds, computed afresh: the
+    reduced axes2d bloch and compare CSVs, and spectral_function at d = 2 on
+    test_nearby_points_not_merged's shifted axes2d table, at b = 0 off the
+    diagonal and on the +-(1, 1) table."""
+    from spectra_lab.cli import main
+
+    with open(AXES2D_JSON) as fh:
+        cfg = dict(json.load(fh), **AXES2D_REDUCED)
+    cfg_path = os.path.join(tmp_dir, "axes2d_reduced.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    csv = {}
+    for cmd in ("bloch", "compare"):
+        out = os.path.join(tmp_dir, cmd + ".csv")
+        assert main([cmd, "--config", cfg_path, "--out", out, "--seed", "11"]) == 0
+        with open(out) as fh:
+            csv[cmd] = fh.read()
+    x, y = NEARBY_D2
+    # (name, table, x, y, M_cut, N_k, ladder)
+    cases = [("shifted_axes2d", _shifted(AXES2D, x), np.zeros(2), y - x, 8, 4,
+              AXES2D_LAMS)]
+    cases += [("free_off_diagonal_nk%d" % nk, {}, np.zeros(2), np.array([0.7, -0.4]),
+               8, nk, AXES2D_LAMS) for nk in (7, 8)]
+    cases += [("diagonal_11_%s" % name, DIAGONAL_D2, np.array(p), np.array(q), 6, 4,
+               DIAGONAL_D2_LAMS)
+              for name, (p, q) in zip(("on", "off"), DIAGONAL_D2_PAIRS)]
+    values = [{"name": name, "x": p.tolist(), "y": q.tolist(), "M_cut": m_cut,
+               "N_k": nk, "lambda": lams.tolist(),
+               "values": spectral_function(lams, p, q, b, m_cut, nk, d=2).tolist()}
+              for name, b, p, q, m_cut, nk, lams in cases]
+    return {"csv": csv, "values": values}
+
+
+def test_midpoint_d2_golden(tmp_path):
+    with open(GOLDEN_D2) as fh:
+        want = json.load(fh)
+    got = golden_midpoint_d2(str(tmp_path))
+    for cmd in ("bloch", "compare"):
+        _assert_csv_matches(got["csv"][cmd], want["csv"][cmd], cmd)
+    for g, w in zip(got["values"], want["values"], strict=True):
+        assert {k: g[k] for k in g if k != "values"} == \
+            {k: w[k] for k in w if k != "values"}
+        err = np.max(np.abs(np.array(g["values"]) - w["values"]))
+        assert err <= GOLDEN_TOL, (g["name"], err)
+
+
 if __name__ == "__main__":
     # Regenerate golden files: PYTHONPATH=src python tests/test_bloch.py [NAME ...]
-    # with NAME in {oracle_d1, oracle_banded}; no NAME regenerates both
+    # with NAME in {oracle_d1, oracle_banded, midpoint_d2}; no NAME regenerates
+    # all three
     import sys
     import tempfile
 
-    def d1_payload():
-        with tempfile.TemporaryDirectory() as tmp:
-            return golden_oracle_d1(tmp)
+    def in_tmp(make):
+        def payload():
+            with tempfile.TemporaryDirectory() as tmp:
+                return make(tmp)
+        return payload
 
-    makers = {"oracle_d1": (GOLDEN, d1_payload),
-              "oracle_banded": (GOLDEN_BANDED, golden_oracle_banded)}
+    makers = {"oracle_d1": (GOLDEN, in_tmp(golden_oracle_d1)),
+              "oracle_banded": (GOLDEN_BANDED, golden_oracle_banded),
+              "midpoint_d2": (GOLDEN_D2, in_tmp(golden_midpoint_d2))}
     for name in sys.argv[1:] or list(makers):
         path, make = makers[name]
         os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -27,10 +27,14 @@ LAPACK serves its solves by route:
     fiber eigenvalues are simple (Hill's equation), so an index is a band.
 BlochOracle1D keeps the grid eigenvectors and, per (band, lambda), the
 crossing point and the Gauss-node eigenvectors of the crossing band, so a
-later point x, y only forms amplitudes.  In d = 2 the fiber is dense on the
-square |m_1|, |m_2| <= M_cut: the coupling bhat(m_i - m_j) is built once per
-call, each k adds |k + m|^2 on its diagonal, and only the eigenpairs below
-the cut are solved (LAPACK syevr / heevr).
+later point x, y only forms amplitudes.  In d = 2, on the square
+|m_1|, |m_2| <= M_cut, a table with every theta on an axis (b = b_1(x_1) +
+b_2(x_2), or b = 0) has the fiber H_1(k_1) (x) I + I (x) H_2(k_2) (Reed &
+Simon IV, XIII.16): each axis's d = 1 fiber is solved once per grid k, and
+the energies E_1 + E_2 carry the amplitudes u_1(x_1) u_2(x_2).  An off-axis
+theta such as +-(1, 1) makes the fiber dense: the coupling bhat(m_i - m_j)
+is built once per call, each k adds |k + m|^2 on its diagonal, and only the
+eigenpairs below the cut are solved (LAPACK syevr / heevr).
 
 For real b, E(-k) = E(k) and u_{-k} = conj u_k, so both midpoint grids solve
 half the k-points, each standing for itself and -k; an odd grid's k = 0 is
@@ -204,27 +208,35 @@ def free_lds_d2(lams: np.ndarray, Nk: int) -> np.ndarray:
 # -- plain midpoint oracle ------------------------------------------------------
 
 
+def _checked_inputs(lam, x, y, d: int):
+    """lam as a ladder, x and y as points; ValueError unless the ladder is
+    non-empty and finite and each point has exactly d finite coordinates."""
+    lams, x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lam, x, y))
+    if lams.size == 0 or not np.isfinite(lams).all():
+        raise ValueError("lambda must be a non-empty finite ladder, got %r" % (lam,))
+    if x.shape != (d,) or y.shape != (d,) or not np.isfinite([x, y]).all():
+        raise ValueError("x and y need %d finite coordinates each, got %r and %r"
+                         % (d, x, y))
+    return lams, x, y
+
+
 def spectral_function(lam, x, y, b, M_cut: int, Nk: int, d: int = 1):
     """Midpoint-grid e_lambda(x, y); on-diagonal x == y gives N(lambda; x).
 
     lam may be a scalar or an ascending ladder (shared eigensolves).
     Counting conventions E <= lam and E < lam are averaged.
     """
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    lams, x, y = _checked_inputs(lam, x, y, d)
+    if d not in (1, 2):
+        raise NonLatticeFrequencies("oracle implemented for d in {1, 2}")
     _check_ceiling(float(lams.max()), M_cut)
     four = lattice_fourier(b, d)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not four:
-        if np.array_equal(x, y):
-            vals = free_lds_d1(lams, Nk) if d == 1 else free_lds_d2(lams, Nk)
-            return vals if np.ndim(lam) else float(vals[0])
-    if d == 1:
+    if not four and np.array_equal(x, y):
+        vals = free_lds_d1(lams, Nk) if d == 1 else free_lds_d2(lams, Nk)
+    elif d == 1:
         vals = _midpoint_d1(lams, x, y, four, M_cut, Nk)
-    elif d == 2:
-        vals = _midpoint_d2(lams, x, y, four, M_cut, Nk)
     else:
-        raise NonLatticeFrequencies("oracle implemented for d in {1, 2}")
+        vals = _midpoint_d2(lams, x, y, four, M_cut, Nk)
     return vals if np.ndim(lam) else float(vals[0])
 
 
@@ -283,40 +295,56 @@ def _fermi_sums(w: np.ndarray, contrib: np.ndarray, lams: np.ndarray) -> np.ndar
     return csum[n_le] + csum[n_lt]
 
 
+def _fiber_d1(k, ms, four, bw, emax, x, y):
+    """The d = 1 fiber at k: energies up to emax, amplitudes at x and at y."""
+    w, v = _eig_banded_k(k, ms, four, bw, emax=emax)
+    ux = _wave_amp(v, (k + ms) * x)
+    return w, ux, (ux if y == x else _wave_amp(v, (k + ms) * y))
+
+
 def _midpoint_d1(lams, x, y, four, M_cut, Nk):
     ms, bw = _banded_rep(four, M_cut)
     emax = float(lams.max()) * 1.0000001 + 1.0
     acc = np.zeros(lams.shape)
-    xv, yv = float(x[0]), float(y[0])
     for (k,), wt in zip(*_paired_grid(Nk, 1)):
-        w, v = _eig_banded_k(k, ms, four, bw, emax=emax)
-        ux = _wave_amp(v, (k + ms) * xv)
-        uy = ux if yv == xv else _wave_amp(v, (k + ms) * yv)
+        w, ux, uy = _fiber_d1(k, ms, four, bw, emax, float(x[0]), float(y[0]))
         acc += wt * _fermi_sums(w, (ux * np.conj(uy)).real, lams)
     return acc / Nk / (2 * math.pi)
 
 
 def _midpoint_d2(lams, x, y, four, M_cut, Nk):
-    marr, V = _coupling(four, M_cut, 2)
-    ii = np.diag_indices_from(V)
     emax = float(lams.max()) * 1.0000001 + 1.0
     acc = np.zeros(lams.shape)
-    diag = np.array_equal(x, y)
-    for k, wt in zip(*_paired_grid(Nk, 2)):
-        if four:
+    half, wts = _paired_grid(Nk, 2)
+    if all(0 in th for th in four):  # b = b1(x1) + b2(x2), b = 0 included
+        tabs = ({(t1,): c for (t1, t2), c in four.items() if t2 == 0},
+                {(t2,): c for (t1, t2), c in four.items() if t1 == 0 != t2})
+        # no axis-a energy is below lo[a] (Gershgorin), so keep E_a <= emax - lo[1 - a]
+        lo = [sum(c.real if t == (0,) else -abs(c) for t, c in tab.items())
+              for tab in tabs]
+        axes = []
+        for a, tab in enumerate(tabs):
+            ms, bw = _banded_rep(tab, M_cut)
+            fibers = [_fiber_d1(k, ms, tab, bw, emax - lo[1 - a], x[a], y[a])
+                      for k in _midpoint_grid(Nk)]
+            axes.append([(w, ux * np.conj(uy)) for w, ux, uy in fibers])
+        # point p of the lexicographic grid is (grid[p // Nk], grid[p % Nk])
+        for p, wt in enumerate(wts, Nk * Nk - len(wts)):
+            (w1, c1), (w2, c2) = axes[0][p // Nk], axes[1][p % Nk]
+            acc += wt * _fermi_sums(np.add.outer(w1, w2).ravel(),
+                                    np.outer(c1, c2).real.ravel(), lams)
+    else:  # an off-axis theta couples the axes: one dense fiber per k
+        marr, V = _coupling(four, M_cut, 2)
+        ii = np.diag_indices_from(V)
+        diag = np.array_equal(x, y)
+        for k, wt in zip(half, wts):
             M = V.copy()
             M[ii] += ((k + marr) ** 2).sum(axis=1)
             w, v = eigh(M, overwrite_a=True, check_finite=False,
                         subset_by_value=(-np.inf, emax), driver="evr")
             ux = _wave_amp(v, (k + marr) @ x)
             uy = ux if diag else _wave_amp(v, (k + marr) @ y)
-        else:  # b = 0: the fiber is diagonal, its eigenvectors the plane waves
-            w = ((k + marr) ** 2).sum(axis=1)
-            keep = w <= emax
-            w, km = w[keep], (k + marr)[keep]
-            ux = np.exp(1j * (km @ x))
-            uy = ux if diag else np.exp(1j * (km @ y))
-        acc += wt * _fermi_sums(w, (ux * np.conj(uy)).real, lams)
+            acc += wt * _fermi_sums(w, (ux * np.conj(uy)).real, lams)
     return acc / Nk**2 / (2 * math.pi) ** 2
 
 
@@ -369,12 +397,11 @@ class BlochOracle1D:
         return out
 
     def evaluate(self, lams, x: float, y: Optional[float] = None) -> np.ndarray:
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        lams, (x,), (y,) = _checked_inputs(lams, x, x if y is None else y, 1)
         lam_max = float(lams.max())
         _check_ceiling(lam_max, self.M_cut)
         self._ensure_spectra(lam_max)
-        y = x if y is None else y
-        Wg = self._band_weight_grid(float(x), float(y))
+        Wg = self._band_weight_grid(x, y)
         band_int = Wg.mean(axis=1) * 0.5          # int_0^{1/2} per band
         cum = np.concatenate([[0.0], np.cumsum(band_int)])
         e0, eh = self._edges
@@ -386,7 +413,7 @@ class BlochOracle1D:
             total = cum[n_full]
             n = n_full
             while n < self._nbands and band_lo[n] < lam:
-                total += self._crossing_band(n, lam, float(x), float(y))
+                total += self._crossing_band(n, lam, x, y)
                 n += 1
             out[j] = total * 2.0 / (2 * math.pi)
         return out

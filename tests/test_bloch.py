@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -107,6 +108,31 @@ def test_free_fast_paths():
 def test_truncation_ceiling():
     with pytest.raises(TruncationCeiling):
         spectral_function(500.0, 0.0, 0.0, MATHIEU, 10, 64, d=1)
+
+
+def test_points_and_ladder_checked(mathieu_oracle):
+    """A point without exactly d finite coordinates, or a ladder that is
+    empty or not finite, raises ValueError: spectral_function once evaluated
+    [0.3, 5.0] at x = 0.3 and returned nan at a nan point.  A d outside
+    {1, 2} raises before the free path, which would return the d = 2 count."""
+    def bad(lam, x, y, d=1):
+        with pytest.raises(ValueError):
+            spectral_function(lam, x, y, MATHIEU if d == 1 else AXES2D, 30, 16, d=d)
+
+    bad(100.0, [0.3, 5.0], [0.3, 5.0])
+    bad(100.0, 0.3, [0.3, 5.0])
+    bad(100.0, math.nan, 0.3)
+    bad(100.0, 0.3, math.inf)
+    bad(100.0, np.zeros(3), np.zeros(3), d=2)
+    bad(100.0, np.zeros(2), [0.0, math.nan], d=2)
+    bad([], 0.3, 0.3)
+    bad([50.0, math.nan], 0.3, 0.3)
+    with pytest.raises(NonLatticeFrequencies):
+        spectral_function(4.0, np.zeros(3), np.zeros(3), {}, 8, 4, d=3)
+    for lams, x, y in (([100.0, math.nan], 0.3, None), (100.0, math.inf, None),
+                       (100.0, 0.3, math.nan), ([], 0.3, None)):
+        with pytest.raises(ValueError):
+            mathieu_oracle.evaluate(lams, x, y)
 
 
 def test_monotone_in_lambda():
@@ -400,6 +426,52 @@ DIAGONAL_D2_LAMS = np.geomspace(2.0, 9.0, 5)
 DIAGONAL_D2_PAIRS = (((0.3, 1.1), (0.3, 1.1)), ((0.3, 1.1), (1.2, -0.5)))
 
 
+def dense_midpoint_d2(lams, x, y, b, M_cut, Nk):
+    """The plain-midpoint d = 2 e_lambda(x, y) from build_fiber's dense fiber
+    and np.linalg.eigh at every point of the grid: no Kronecker identity and
+    no k <-> -k pairing."""
+    ks = (np.arange(Nk) + 0.5) / Nk - 0.5
+    acc = np.zeros(lams.shape)
+    for k in itertools.product(ks, repeat=2):
+        fib = build_fiber(np.array(k), b, M_cut, d=2)
+        E, U = np.linalg.eigh(fib.matrix)
+        km = np.array(fib.indices) + k
+        ux, uy = np.exp(1j * (km @ x)) @ U, np.exp(1j * (km @ y)) @ U
+        acc += 0.5 * _fermi_sums(E, (ux * np.conj(uy)).real, lams)
+    return acc / Nk ** 2 / (2 * math.pi) ** 2
+
+
+@st.composite
+def axis_tables(draw):
+    """A real or complex Hermitian d = 2 table with every theta on an axis,
+    of half-bandwidth 1-2 per axis, with or without a constant term."""
+    cplx = draw(st.booleans())
+    part = st.floats(-0.5, 0.5)
+    table = {}
+    for e in ((1, 0), (0, 1)):
+        for t in range(1, draw(st.integers(1, 2)) + 1):
+            c = complex(draw(part), draw(part) if cplx else 0.0)
+            table[(t * e[0], t * e[1])], table[(-t * e[0], -t * e[1])] = c, c.conjugate()
+    if draw(st.booleans()):
+        table[(0, 0)] = complex(draw(part))
+    return table
+
+
+@settings(max_examples=25, deadline=None)
+@given(axis_tables(), st.integers(4, 6), st.integers(3, 6),
+       st.tuples(POINT, POINT), st.one_of(st.none(), st.tuples(POINT, POINT)))
+def test_midpoint_d2_separable_matches_dense(table, M_cut, Nk, x, y):
+    """The separable d = 2 route against dense fibers, on and off the
+    diagonal (y None is y = x); the ladder stays under the ceiling
+    (M_cut / 2)^2."""
+    x = np.array(x)
+    y = x if y is None else np.array(y)
+    lams = np.geomspace(0.6, 0.95 * (M_cut / 2) ** 2, 6)
+    got = spectral_function(lams, x, y, table, M_cut, Nk, d=2)
+    want = dense_midpoint_d2(lams, x, y, table, M_cut, Nk)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_midpoint_d2_translation_covariance():
     """e^{b_s}_lambda(x, y) = e^b_lambda(x + s, y + s) in d = 2, through the
     complex fiber: b has +-e1, +-e2 and +-(1, 1)."""
@@ -429,14 +501,15 @@ def test_nearby_points_not_merged():
                                                  d=2))) > 1e-6
 
 
-def test_cli_bloch_compare_axes2d(tmp_path):
-    """bloch and compare on the reduced axes2d config: the bloch CSV matches the
-    separable reference, and compare's N_oracle is the same midpoint."""
+def _check_cli_bloch_compare_axes2d(tmp_path, sizes, lams, M_cut, Nk):
+    """bloch and compare on axes2d with sizes overriding the shipped config:
+    one row per rung, the bloch CSV matches the separable reference, and
+    compare's N_oracle is the same midpoint."""
     from spectra_lab.cli import main
 
     with open(AXES2D_JSON) as fh:
-        cfg = dict(json.load(fh), **AXES2D_REDUCED)
-    cfg_path = str(tmp_path / "axes2d_reduced.json")
+        cfg = dict(json.load(fh), **sizes)
+    cfg_path = str(tmp_path / "axes2d.json")
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
     rows = {}
@@ -445,17 +518,27 @@ def test_cli_bloch_compare_axes2d(tmp_path):
         assert main([cmd, "--config", cfg_path, "--out", out]) == 0
         with open(out) as fh:
             lines = fh.read().splitlines()
-        assert len(lines) == 1 + len(AXES2D_LAMS)
+        assert len(lines) == 1 + len(lams)
         header = lines[0].split(",")
         rows[cmd] = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    want = separable_midpoint_d2(AXES2D_LAMS, np.zeros(2), np.zeros(2),
-                                 0.3, 0.25, 8, 8)
+    want = separable_midpoint_d2(lams, np.zeros(2), np.zeros(2), 0.3, 0.25, M_cut, Nk)
     got = np.array([float(r["e_lambda"]) for r in rows["bloch"]])
     assert np.max(np.abs(got - want)) <= 1e-12
     assert [r["lambda"] for r in rows["compare"]] == [r["lambda"] for r in rows["bloch"]]
     for r, e in zip(rows["compare"], got):
         assert float(r["N_oracle"]) == e
         assert abs(float(r["R_0"]) - (e - float(r["N_expansion_L0"]))) <= 1e-12
+
+
+def test_cli_bloch_compare_axes2d(tmp_path):
+    """The reduced axes2d config (perfbench's cli_sweep sizes)."""
+    _check_cli_bloch_compare_axes2d(tmp_path, AXES2D_REDUCED, AXES2D_LAMS, 8, 8)
+
+
+def test_cli_bloch_compare_axes2d_full(tmp_path):
+    """The shipped configs/axes2d.json at full size: M_cut 16, N_k 128 and
+    12 rungs on [10, 60]."""
+    _check_cli_bloch_compare_axes2d(tmp_path, {}, np.geomspace(10.0, 60.0, 12), 16, 128)
 
 
 # -- golden values: d = 1 oracle and the reduced mathieu bloch/compare CSVs ------

@@ -307,7 +307,7 @@ def _midpoint_d1(lams, x, y, four, M_cut, Nk):
     emax = float(lams.max()) * 1.0000001 + 1.0
     acc = np.zeros(lams.shape)
     for (k,), wt in zip(*_paired_grid(Nk, 1)):
-        w, ux, uy = _fiber_d1(k, ms, four, bw, emax, float(x[0]), float(y[0]))
+        w, ux, uy = _fiber_d1(k, ms, four, bw, emax, x[0], y[0])
         acc += wt * _fermi_sums(w, (ux * np.conj(uy)).real, lams)
     return acc / Nk / (2 * math.pi)
 

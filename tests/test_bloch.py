@@ -555,15 +555,22 @@ GOLDEN_TOL = 1e-12
 
 def golden_oracle_d1(tmp_dir):
     """Everything tests/golden/oracle_d1.json holds, computed afresh."""
-    from spectra_lab.cli import main
-
     lams = np.geomspace(100.0, 800.0, 12)
     oracle = BlochOracle1D({(1,): 0.2, (-1,): 0.2}, M_cut=60)
     points = [{"x": x, "y": y, "values": oracle.evaluate(lams, x, y).tolist()}
               for x, y in GOLDEN_POINTS]
-    with open(MATHIEU_JSON) as fh:
-        cfg = dict(json.load(fh), **REDUCED)
-    cfg_path = os.path.join(tmp_dir, "mathieu_reduced.json")
+    return {"lambda": lams.tolist(), "oracle": points,
+            "csv": _golden_csvs(MATHIEU_JSON, REDUCED, tmp_dir)}
+
+
+def _golden_csvs(config, sizes, tmp_dir):
+    """The bloch and compare CSVs, at --seed 11, of the config file with the
+    sizes overriding its own."""
+    from spectra_lab.cli import main
+
+    with open(config) as fh:
+        cfg = dict(json.load(fh), **sizes)
+    cfg_path = os.path.join(tmp_dir, "reduced_" + os.path.basename(config))
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
     csv = {}
@@ -572,7 +579,7 @@ def golden_oracle_d1(tmp_dir):
         assert main([cmd, "--config", cfg_path, "--out", out, "--seed", "11"]) == 0
         with open(out) as fh:
             csv[cmd] = fh.read()
-    return {"lambda": lams.tolist(), "oracle": points, "csv": csv}
+    return csv
 
 
 def _assert_csv_matches(got, want, cmd):
@@ -657,19 +664,6 @@ def golden_midpoint_d2(tmp_dir):
     reduced axes2d bloch and compare CSVs, and spectral_function at d = 2 on
     test_nearby_points_not_merged's shifted axes2d table, at b = 0 off the
     diagonal and on the +-(1, 1) table."""
-    from spectra_lab.cli import main
-
-    with open(AXES2D_JSON) as fh:
-        cfg = dict(json.load(fh), **AXES2D_REDUCED)
-    cfg_path = os.path.join(tmp_dir, "axes2d_reduced.json")
-    with open(cfg_path, "w") as fh:
-        json.dump(cfg, fh)
-    csv = {}
-    for cmd in ("bloch", "compare"):
-        out = os.path.join(tmp_dir, cmd + ".csv")
-        assert main([cmd, "--config", cfg_path, "--out", out, "--seed", "11"]) == 0
-        with open(out) as fh:
-            csv[cmd] = fh.read()
     x, y = NEARBY_D2
     # (name, table, x, y, M_cut, N_k, ladder)
     cases = [("shifted_axes2d", _shifted(AXES2D, x), np.zeros(2), y - x, 8, 4,
@@ -683,7 +677,8 @@ def golden_midpoint_d2(tmp_dir):
                "N_k": nk, "lambda": lams.tolist(),
                "values": spectral_function(lams, p, q, b, m_cut, nk, d=2).tolist()}
               for name, b, p, q, m_cut, nk, lams in cases]
-    return {"csv": csv, "values": values}
+    return {"csv": _golden_csvs(AXES2D_JSON, AXES2D_REDUCED, tmp_dir),
+            "values": values}
 
 
 def test_midpoint_d2_golden(tmp_path):

@@ -21,7 +21,7 @@ from .frequency import (FrequencySet, GeneratorBasis, check_condition_A,
                         diophantine_constants, potential_frequencies)
 from .gauge import CutoffFamily, run_gauge, verify_b3
 from .symbols import XiGrid, is_symmetric, multiplication_symbol
-from .zones import ZoneParameters, sample_annulus
+from .zones import ZoneGeometry, ZoneParameters, sample_annulus
 
 
 def _num(v) -> str:
@@ -50,21 +50,20 @@ def _frequency_set(cfg: RunConfig) -> FrequencySet:
 
 
 def cmd_zones(cfg: RunConfig) -> tuple:
-    from .zones import classify_point, congruence_class
-
     S = _frequency_set(cfg)
     zp = ZoneParameters.create(cfg.rho_n, cfg.dimension, alpha=cfg.alpha,
                                ktilde=cfg.ktilde)
+    geom = ZoneGeometry(S, zp)
     rng = np.random.default_rng(cfg.seed)
     pts = sample_annulus(cfg.dimension, cfg.rho_n, cfg.samples, rng)
     dim_counts: dict = {}
     max_class_size = 0
     max_diameter = 0.0
     for xi in pts:
-        label = classify_point(xi, S, zp)
+        label = geom.classify_point(xi)
         dim_counts[label.dim] = dim_counts.get(label.dim, 0) + 1
         if label.dim > 0:
-            cls = congruence_class(xi, S, zp)
+            cls = geom.congruence_class(xi)
             max_class_size = max(max_class_size, len(cls))
             max_diameter = max(max_diameter, cls.diameter())
     cond_ok, witness = check_condition_A(S, cfg.k_max)
@@ -249,16 +248,15 @@ def cmd_validate(cfg: RunConfig) -> tuple:
 
     # zone partition sanity for the configured frequencies (skipped for b = 0)
     if any(cfg.potential.values()):
-        from .zones import classify_point
-
         try:
             S = _frequency_set(cfg)
             zp = ZoneParameters.create(cfg.rho_n, cfg.dimension,
                                        alpha=cfg.alpha, ktilde=cfg.ktilde)
+            geom = ZoneGeometry(S, zp)
             rng = np.random.default_rng(cfg.seed)
             pts = sample_annulus(cfg.dimension, cfg.rho_n,
                                  min(cfg.samples, 200), rng)
-            dims = [classify_point(xi, S, zp).dim for xi in pts]
+            dims = [geom.classify_point(xi).dim for xi in pts]
             ok = all(0 <= m <= cfg.dimension for m in dims)
             if cfg.dimension == 1:
                 ok = ok and all(m == 0 for m in dims)

@@ -18,8 +18,8 @@ class CapExceeded(SpectraLabError):
     """Resonant congruence closure exceeded the configured node cap."""
 
 
-class NonSimplexComponent(SpectraLabError):
-    """Component has more defining planes than d - m (out of scope)."""
+class ClassBoundExceeded(CapExceeded):
+    """Congruence closure left the class bound 2 m L_m around its seed."""
 
 
 class ConditionAViolation(SpectraLabError):

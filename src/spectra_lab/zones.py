@@ -1,5 +1,5 @@
-"""Resonance-zone decomposition of R^d, point classification, resonant
-congruence classes and shifted cylindrical coordinates.
+"""Resonance-zone decomposition of R^d, point classification and resonant
+congruence classes.
 
 Scale parameters: L_j = rho_n^alpha_j with alpha strictly increasing and
 alpha_d < 1/(2d).  A point xi belongs to the slab Lambda(theta) when
@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import CapExceeded, NonSimplexComponent, ZeroFrequency
+from .errors import CapExceeded, ClassBoundExceeded, ZeroFrequency
 from .frequency import (
     FrequencySet,
     FrequencyVector,
@@ -109,32 +108,6 @@ class CongruenceClass:
         return float(np.sqrt(d2.max()))
 
 
-@dataclass(frozen=True)
-class CylindricalCoords:
-    X: np.ndarray             # coordinates of xi_V in the fixed basis of V
-    r: float
-    Phi: np.ndarray           # K+1 angles
-    component_signs: tuple    # sign vector identifying the component Xi(V)_p
-    apex: np.ndarray          # a(p), ambient coordinates (lies in V^perp)
-    mu_tilde: np.ndarray      # (K+1, d) inward defining directions, ambient
-    v_basis: np.ndarray       # (d, m) orthonormal basis of V
-    perp_basis: np.ndarray    # (d, K+1) orthonormal basis of V^perp
-
-    def reconstruct(self) -> np.ndarray:
-        """Invert the coordinates back to the ambient point."""
-        Mu = self.mu_tilde @ self.perp_basis      # rows: mu in perp coords
-        n_perp = np.linalg.solve(Mu, np.sin(self.Phi))
-        return self.v_basis @ self.X + self.apex + self.r * (self.perp_basis @ n_perp)
-
-    def constraint_residual(self) -> float:
-        """|sum_j (sum_q a_jq sin Phi_q)^2 - 1| for the basis-change matrix a."""
-        Mu = self.mu_tilde @ self.perp_basis
-        # e_j = sum_l a_jl mu_l  =>  Mu^T a_j = e_j (perp coords)
-        A = np.linalg.solve(Mu.T, np.eye(Mu.shape[0])).T
-        vals = A @ np.sin(self.Phi)
-        return abs(float((vals**2).sum()) - 1.0)
-
-
 class ZoneGeometry:
     """Precomputed subspace lattice and closure steps for a fixed Theta-tilde
     (the tables of the module docstring); all zone queries."""
@@ -199,13 +172,6 @@ class ZoneGeometry:
 
     # -- membership tests ---------------------------------------------------
 
-    def in_lambda(self, theta: FrequencyVector, xi: np.ndarray) -> bool:
-        """xi in Lambda(theta): |<xi, n(theta)>| <= L_1 (boundary inclusive)."""
-        if theta.is_zero():
-            raise ZeroFrequency("Lambda(theta) needs theta != 0")
-        t = theta.to_float()
-        return abs(float(xi @ t)) / np.linalg.norm(t) <= self.zp.L(1)
-
     def _xi1(self, xi: np.ndarray) -> list[bool]:
         """hit[i] = xi in Xi_1(subspaces[i]): some flag of the subspace confines
         xi at every level.  Children precede parents, so each is read, not
@@ -232,7 +198,10 @@ class ZoneGeometry:
         return hit[i] and not any(h and not c for h, c in zip(hit, contains))
 
     def _label(self, xi: np.ndarray) -> int:
-        """Index of the unique V with xi in Xi(V) (maximal Xi_1-membership)."""
+        """Index of the unique V with xi in Xi(V) (maximal Xi_1-membership),
+        for a float array xi."""
+        if xi.shape != (self.d,) or not all(map(math.isfinite, xi.tolist())):
+            raise ValueError("xi needs %d finite coordinates, got %r" % (self.d, xi))
         hits = [i for i, h in enumerate(self._xi1(xi)) if h]
         dims = self._dims
         best = hits[0]
@@ -248,15 +217,23 @@ class ZoneGeometry:
         return best
 
     def classify_point(self, xi: np.ndarray) -> ZoneLabel:
-        """The unique V with xi in Xi(V) (maximal Xi_1-membership)."""
-        return self._labels[self._label(xi)]
+        """The unique V with xi in Xi(V) (maximal Xi_1-membership); a
+        ValueError unless xi has d finite coordinates."""
+        return self._labels[self._label(np.asarray(xi, dtype=float))]
 
     # -- congruence classes --------------------------------------------------
 
     def congruence_class(self, xi: np.ndarray) -> CongruenceClass:
-        """BFS closure of xi under steps eta -> eta + l*theta staying in Lambda(theta)."""
+        """BFS closure of xi under steps eta -> eta + l*theta staying in Lambda(theta).
+
+        Every point of the class of xi in Xi(V), dim V = m, lies within
+        2 m L_m of xi (criterion 09's bound), so the closure raises
+        ClassBoundExceeded at the first point farther out; CapExceeded past
+        zp.closure_cap points stays as the safety net."""
         xi = np.asarray(xi, dtype=float)
         label = self._label(xi)
+        m = self._dims[label]
+        reach = 2.0 * m * self.zp.L(m) if m else 0.0
         L1 = self._L1
         seen = {self._zero_key: xi}
         frontier = [self._zero_key]
@@ -274,6 +251,12 @@ class ZoneGeometry:
                             continue
                         noff = tuple(map(operator.add, off, lkey))
                         if noff not in seen:
+                            dist = math.dist(q, xi)
+                            if dist > reach:
+                                raise ClassBoundExceeded(
+                                    "congruence class of xi = %s (dim %d) reached %.6g "
+                                    "from xi, beyond the class bound 2 m L_m = %.6g"
+                                    % (xi.tolist(), m, dist, reach))
                             seen[noff] = q
                             new.append(noff)
                             if len(seen) > self.zp.closure_cap:
@@ -283,153 +266,12 @@ class ZoneGeometry:
         return CongruenceClass(seed=xi, points=tuple(seen.values()),
                                subspace=self.subspaces[label])
 
-    # -- cylindrical coordinates ----------------------------------------------
-
-    def _mu_directions(self, V: QuasiLatticeSubspace) -> list[np.ndarray]:
-        """Unit normals n(theta_{V^perp}) for theta in Theta-tilde \\ V, deduped up to sign."""
-        BV = V.float_basis()
-        seen = {}
-        for t in self.S.nonzero():
-            if V.contains_vector(t.components()):
-                continue
-            v = t.to_float()
-            u = v - BV @ (BV.T @ v)
-            u = u / np.linalg.norm(u)
-            # canonical sign: first significantly nonzero entry positive
-            k = int(np.argmax(np.abs(u) > 1e-9))
-            cu = u if u[k] > 0 else -u
-            key = tuple(np.round(cu, 9))
-            seen[key] = cu
-        return list(seen.values())
-
-    def component_coordinates(self, xi: np.ndarray,
-                              label: Optional[ZoneLabel] = None) -> CylindricalCoords:
-        xi = np.asarray(xi, dtype=float)
-        if label is None:
-            label = self.classify_point(xi)
-        V = label.subspace
-        m = V.dimension
-        if m >= self.d:
-            raise NonSimplexComponent("coordinates defined only for dim V < d")
-        K = self.d - m - 1
-        L = self.zp.L(m + 1)
-        BV = V.float_basis()
-        xi_perp = xi - BV @ (BV.T @ xi)
-        mus = self._mu_directions(V)
-        signs = []
-        mt = []
-        for mu in mus:
-            s = float(xi_perp @ mu)
-            signs.append(1 if s > 0 else -1)
-            mt.append(mu if s > 0 else -mu)
-        mt = self._minimal_directions(np.array(mt), V, L)
-        if mt.shape[0] != K + 1:
-            raise NonSimplexComponent(
-                "component has %d defining planes, need %d" % (mt.shape[0], K + 1))
-        # orthonormal basis of V^perp
-        P = np.eye(self.d) - BV @ BV.T
-        w, vecs = np.linalg.eigh(P)
-        perp = vecs[:, w > 0.5]
-        Mu = mt @ perp                      # (K+1, K+1), rows = mu in perp coords
-        a_perp = np.linalg.solve(Mu, np.full(K + 1, L))
-        apex = perp @ a_perp
-        eta = xi_perp - apex
-        r = float(np.linalg.norm(eta))
-        if r < 1e-14:
-            Phi = np.zeros(K + 1)
-        else:
-            n_eta = eta / r
-            Phi = np.arcsin(np.clip(mt @ n_eta, -1.0, 1.0))
-        X = BV.T @ xi
-        return CylindricalCoords(X=X, r=r, Phi=Phi, component_signs=tuple(signs),
-                                 apex=apex, mu_tilde=mt, v_basis=BV, perp_basis=perp)
-
-    def _minimal_directions(self, mt: np.ndarray, V: QuasiLatticeSubspace,
-                            L: float) -> np.ndarray:
-        """Drop directions whose half-space constraint is implied by the others."""
-        BV = V.float_basis()
-        perp = np.eye(self.d) - BV @ BV.T
-        w, vecs = np.linalg.eigh(perp)
-        Pb = vecs[:, w > 0.5]               # (d, K+1)
-        rows = mt @ Pb                      # constraints in perp coordinates
-        box = 1e4 * max(L, 1.0)
-        keep = []
-        for j in range(rows.shape[0]):
-            others = np.delete(rows, j, axis=0)
-            if others.size == 0:
-                keep.append(j)
-                continue
-            # non-redundant iff min <eta, mu_j> subject to <eta, mu_i> >= L can dip below L
-            res = linprog(c=rows[j], A_ub=-others, b_ub=-np.full(others.shape[0], L),
-                          bounds=[(-box, box)] * rows.shape[1], method="highs")
-            if not res.success or res.fun < L - 1e-9 * max(L, 1.0):
-                keep.append(j)
-        return mt[keep]
-
-    def inner_product_profile(self, xi: np.ndarray, theta: FrequencyVector,
-                              label: Optional[ZoneLabel] = None) -> tuple[float, float]:
-        """<xi, theta> = const + r * linear; linear = 0 when theta lies in V."""
-        xi = np.asarray(xi, dtype=float)
-        if label is None:
-            label = self.classify_point(xi)
-        V = label.subspace
-        if V.contains_vector(theta.components()):
-            BV = V.float_basis()
-            xi_v = BV @ (BV.T @ xi)
-            return float(xi_v @ theta.to_float()), 0.0
-        cc = self.component_coordinates(xi, label)
-        t = theta.to_float()
-        t_v = cc.v_basis @ (cc.v_basis.T @ t)
-        t_perp = t - t_v
-        Mu = cc.mu_tilde @ cc.perp_basis
-        b = np.linalg.solve(Mu.T, cc.perp_basis.T @ t_perp)
-        nb = b[np.abs(b) > 1e-10]
-        if nb.size and not (np.all(nb > 0) or np.all(nb < 0)):
-            raise ValueError("sign coherence of the mu-decomposition failed")
-        m = V.dimension
-        const = float(t @ (cc.v_basis @ cc.X)) + self.zp.L(m + 1) * float(b.sum())
-        linear = float(b @ np.sin(cc.Phi))
-        return const, linear
-
-
-# functional entry points; geometry (subspace lattice) cached per (S, zp)
-_GEOM_CACHE: dict = {}
-
-
-def _geom(S: FrequencySet, zp: ZoneParameters) -> ZoneGeometry:
-    key = (id(S), zp)
-    g = _GEOM_CACHE.get(key)
-    if g is None or g.S is not S:
-        g = ZoneGeometry(S, zp)
-        if len(_GEOM_CACHE) > 16:
-            _GEOM_CACHE.clear()
-        _GEOM_CACHE[key] = g
-    return g
-
 
 def in_lambda(theta: FrequencyVector, xi: np.ndarray, zp: ZoneParameters) -> bool:
     if theta.is_zero():
         raise ZeroFrequency("Lambda(theta) needs theta != 0")
     t = theta.to_float()
     return abs(float(np.asarray(xi, dtype=float) @ t)) / np.linalg.norm(t) <= zp.L(1)
-
-
-def classify_point(xi: np.ndarray, S: FrequencySet, zp: ZoneParameters) -> ZoneLabel:
-    return _geom(S, zp).classify_point(np.asarray(xi, dtype=float))
-
-
-def congruence_class(xi: np.ndarray, S: FrequencySet, zp: ZoneParameters) -> CongruenceClass:
-    return _geom(S, zp).congruence_class(np.asarray(xi, dtype=float))
-
-
-def component_coordinates(xi: np.ndarray, label: ZoneLabel, S: FrequencySet,
-                          zp: ZoneParameters) -> CylindricalCoords:
-    return _geom(S, zp).component_coordinates(np.asarray(xi, dtype=float), label)
-
-
-def inner_product_profile(xi: np.ndarray, theta: FrequencyVector, label: ZoneLabel,
-                          S: FrequencySet, zp: ZoneParameters) -> tuple[float, float]:
-    return _geom(S, zp).inner_product_profile(np.asarray(xi, dtype=float), theta, label)
 
 
 def annulus_bounds(rho_n: float) -> tuple[float, float]:

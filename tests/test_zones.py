@@ -1,16 +1,17 @@
 import json
 import math
 import os
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spectra_lab.errors import ZeroFrequency
-from spectra_lab.frequency import algebraic_sum, freq
-from spectra_lab.zones import (ZoneParameters, classify_point,
-                               component_coordinates, congruence_class,
-                               default_alpha, in_lambda, inner_product_profile,
-                               sample_annulus)
+from spectra_lab.errors import CapExceeded, ClassBoundExceeded, ZeroFrequency
+from spectra_lab.frequency import (FrequencySet, GeneratorBasis, algebraic_sum,
+                                   freq)
+from spectra_lab.zones import (ZoneGeometry, ZoneParameters, default_alpha,
+                               in_lambda, sample_annulus)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,28 @@ def zp1():
 @pytest.fixture(scope="module")
 def theta2(axes2d):
     return algebraic_sum(axes2d, 2)
+
+
+@pytest.fixture(scope="module")
+def geom2(theta2, zp2):
+    return ZoneGeometry(theta2, zp2)
+
+
+@pytest.fixture(scope="module")
+def geom1(mathieu1d, zp1):
+    return ZoneGeometry(mathieu1d, zp1)
+
+
+@pytest.fixture(scope="module")
+def axes_geom(axes2d, zp2):
+    return ZoneGeometry(axes2d, zp2)
+
+
+def _surd_set():
+    """{e1, e2, (1/2, sqrt(2)/3)} in d = 2."""
+    b2 = GeneratorBasis(2)
+    return FrequencySet.build(2, b2, [freq([1, 0], b2), freq([0, 1], b2),
+                                      freq([(Fraction(1, 2), 0), (0, Fraction(1, 3))], b2)])
 
 
 def test_default_alpha_valid():
@@ -54,35 +77,35 @@ def test_in_lambda_examples(rational_basis, zp2, zp1):
         in_lambda(freq([0, 0], rational_basis), np.array([1.0, 0.0]), zp2)
 
 
-def test_classify_d1_nonresonant(mathieu1d, zp1):
-    label = classify_point(np.array([900.0]), mathieu1d, zp1)
+def test_classify_d1_nonresonant(geom1):
+    label = geom1.classify_point(np.array([900.0]))
     assert label.dim == 0
 
 
-def test_classify_axis_slab(theta2, zp2, rational_basis):
-    label = classify_point(np.array([1000.0, 0.0]), theta2, zp2)
+def test_classify_axis_slab(geom2, rational_basis):
+    label = geom2.classify_point(np.array([1000.0, 0.0]))
     assert label.dim == 1
     e2 = freq([0, 1], rational_basis)
     assert label.subspace.contains_vector(e2.components())
 
 
-def test_classify_origin(theta2, zp2):
-    assert classify_point(np.zeros(2), theta2, zp2).dim == 2
+def test_classify_origin(geom2):
+    assert geom2.classify_point(np.zeros(2)).dim == 2
 
 
-def test_congruence_nonresonant_singleton(theta2, zp2):
+def test_congruence_nonresonant_singleton(geom2):
     xi = np.array([700.0, 600.0])
-    assert classify_point(xi, theta2, zp2).dim == 0
-    cls = congruence_class(xi, theta2, zp2)
+    assert geom2.classify_point(xi).dim == 0
+    cls = geom2.congruence_class(xi)
     assert len(cls) == 1
     assert np.allclose(cls.points[0], xi)
 
 
-def test_congruence_one_line_closure(theta2, zp2):
+def test_congruence_one_line_closure(geom2, zp2):
     L1 = zp2.L(1)
     t = 0.5
     xi = np.array([1000.0, t])
-    cls = congruence_class(xi, theta2, zp2)
+    cls = geom2.congruence_class(xi)
     want = sorted(t + l for l in range(-10, 11) if abs(t + l) <= L1)
     got = sorted(p[1] for p in cls.points)
     assert np.allclose(got, want)
@@ -90,99 +113,101 @@ def test_congruence_one_line_closure(theta2, zp2):
     assert any(np.allclose(p, xi) for p in cls.points)  # seed in points
 
 
-def test_congruence_symmetry(theta2, zp2):
+def test_congruence_symmetry(geom2):
     xi = np.array([1000.0, 0.5])
-    cls = congruence_class(xi, theta2, zp2)
+    cls = geom2.congruence_class(xi)
     keys = {tuple(np.round(p, 9)) for p in cls.points}
     for p in cls.points:
-        back = congruence_class(np.asarray(p), theta2, zp2)
+        back = geom2.congruence_class(np.asarray(p))
         assert {tuple(np.round(q, 9)) for q in back.points} == keys
 
 
-def test_congruence_diameter_provable_bound(theta2, zp2, rng):
+def test_congruence_diameter_provable_bound(geom2, zp2, rng):
     # class points differ from xi only in V and each has |eta_V| <= m L_m, so
     # the diameter is at most 2 m L_m; the derivation is in the
     # test_acceptance module docstring. Classes here have m = 1
     L1 = zp2.L(1)
     for _ in range(20):
         t = rng.uniform(-L1, L1)
-        cls = congruence_class(np.array([1000.0, t]), theta2, zp2)
+        cls = geom2.congruence_class(np.array([1000.0, t]))
         assert cls.diameter() <= 2.0 * 1 * zp2.L(1) + 1e-9
 
 
-def test_cylindrical_coordinates_axis_example(theta2, zp2):
-    t = 0.5
-    xi = np.array([1000.0, t])
-    label = classify_point(xi, theta2, zp2)
-    cc = component_coordinates(xi, label, theta2, zp2)
-    L2 = zp2.L(2)
-    assert cc.X.shape == (1,)
-    assert abs(abs(cc.X[0]) - abs(t)) < 1e-12
-    assert abs(cc.r - abs(1000.0 - L2)) < 1e-9
-    assert np.allclose(np.abs(cc.apex), [L2, 0.0], atol=1e-12)
-    assert cc.constraint_residual() < 1e-12
-    assert np.allclose(cc.reconstruct(), xi, atol=1e-10)
-
-
-def test_cylindrical_apex_r_zero(theta2, zp2):
-    import dataclasses
-
-    xi = np.array([1000.0, 0.5])
-    label = classify_point(xi, theta2, zp2)
-    cc = component_coordinates(xi, label, theta2, zp2)
-    at_apex = dataclasses.replace(cc, r=0.0)
-    want = cc.v_basis @ cc.X + cc.apex
-    assert np.allclose(at_apex.reconstruct(), want, atol=1e-10)
-
-
-def test_inner_product_profile(theta2, zp2, rational_basis):
-    xi = np.array([1000.0, 0.5])
-    label = classify_point(xi, theta2, zp2)
-    cc = component_coordinates(xi, label, theta2, zp2)
-    # theta in V: no r-dependence
-    e2 = freq([0, 1], rational_basis)
-    const, lin = inner_product_profile(xi, e2, label, theta2, zp2)
-    assert lin == 0.0
-    assert abs(const - xi @ e2.to_float()) < 1e-9
-    # theta transversal: <xi, e1> = const + r * linear
-    e1 = freq([1, 0], rational_basis)
-    const, lin = inner_product_profile(xi, e1, label, theta2, zp2)
-    assert abs((const + cc.r * lin) - xi @ e1.to_float()) < 1e-8
-    assert abs(abs(const) - zp2.L(2)) < 1e-9
-
-
-def test_partition_sampled(theta2, zp2, rng):
-    from spectra_lab.zones import ZoneGeometry
-
-    geom = ZoneGeometry(theta2, zp2)
+def test_partition_sampled(geom2, rng):
     pts = sample_annulus(2, 1000.0, 300, rng)
     for xi in pts:
-        label = geom.classify_point(xi)
+        label = geom2.classify_point(xi)
         assert 0 <= label.dim <= 2
         # subtraction-rule membership agrees with the classification
-        assert geom.in_xi(label.subspace, xi)
+        assert geom2.in_xi(label.subspace, xi)
 
 
-def test_sum_closure_sampled(theta2, zp2, rng):
+def test_sum_closure_sampled(theta2, geom2, rng):
     # xi in Xi1(U) and Xi1(V) forces xi in Xi1(U + V)
     from spectra_lab.frequency import all_subspaces
-    from spectra_lab.zones import ZoneGeometry
 
-    geom = ZoneGeometry(theta2, zp2)
     subs = all_subspaces(theta2)
     pts = sample_annulus(2, 1000.0, 60, rng)
     for xi in pts:
-        hits = [V for V in subs if V.dimension >= 1 and geom.in_xi1(V, xi)]
+        hits = [V for V in subs if V.dimension >= 1 and geom2.in_xi1(V, xi)]
         for U in hits:
             for V in hits:
                 if not (U.contains_subspace(V) and V.contains_subspace(U)):
-                    assert geom.in_xi1(U.sum(V), xi)
+                    assert geom2.in_xi1(U.sum(V), xi)
 
 
-def test_d1_annulus_nonresonant(mathieu1d, zp1, rng):
+def test_d1_annulus_nonresonant(geom1, rng):
     pts = sample_annulus(1, 1000.0, 200, rng)
     for xi in pts:
-        assert classify_point(xi, mathieu1d, zp1).dim == 0
+        assert geom1.classify_point(xi).dim == 0
+
+
+# (d, xi): not d finite coordinates.  In d = 1 an infinite seed leaves the
+# slab at once, so no closure step reaches it and only a check of the seed
+# itself catches it
+BAD_POINTS = [(2, (math.nan, 0.0)), (2, (0.5, math.inf)), (2, (-math.inf, math.nan)),
+              (2, (1.0, 2.0, 3.0)), (1, (math.inf,)), (1, (math.nan,)), (1, (1.0, 2.0))]
+
+
+@pytest.fixture(scope="module")
+def geom_by_dim(geom1, axes_geom):
+    return {1: geom1, 2: axes_geom}
+
+
+@pytest.mark.parametrize("d, xi", BAD_POINTS)
+def test_classify_rejects_bad_point(geom_by_dim, d, xi):
+    with pytest.raises(ValueError):
+        geom_by_dim[d].classify_point(xi)
+
+
+@pytest.mark.parametrize("d, xi", BAD_POINTS)
+def test_congruence_rejects_bad_point(geom_by_dim, d, xi):
+    with pytest.raises(ValueError):
+        geom_by_dim[d].congruence_class(xi)
+
+
+def test_congruence_leaves_class_bound_at_once(zp2):
+    # below the sampling annulus a surd-set class need not close: (5, 0.5) is
+    # labelled dim 1 and its closure runs off along the slab
+    geom = ZoneGeometry(_surd_set(), zp2)
+    xi = np.array([5.0, 0.5])
+    assert geom.classify_point(xi).dim == 1
+    t0 = time.perf_counter()
+    with pytest.raises(ClassBoundExceeded, match="dim 1"):
+        geom.congruence_class(xi)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_congruence_cap_exceeded(axes2d, axes_geom, zp2):
+    # the origin's class on axes2d has 25 points, all within 4 L_2 of it
+    cls = axes_geom.congruence_class(np.zeros(2))
+    assert len(cls) == 25
+    assert cls.subspace.dimension == 2
+    assert max(np.linalg.norm(p) for p in cls.points) <= 4 * zp2.L(2)
+    capped = ZoneGeometry(axes2d, ZoneParameters.create(1000.0, 2, closure_cap=10))
+    with pytest.raises(CapExceeded) as err:
+        capped.congruence_class(np.zeros(2))
+    assert type(err.value) is CapExceeded
 
 
 # -- golden labels and classes: every label, class point and class subspace -----
@@ -207,10 +232,6 @@ def _golden_sets():
     """(name, S, zp, points): criterion 09's samples on Theta = {0, +-e1, +-e2}
     with slab points and points at the origin (dim-2 classes), and annulus and
     slab points of the surd set {e1, e2, (1/2, sqrt(2)/3)}."""
-    from fractions import Fraction
-
-    from spectra_lab.frequency import FrequencySet, GeneratorBasis
-
     zp = ZoneParameters.create(RHO, 2)
     b0 = GeneratorBasis(None)
     S0 = FrequencySet.build(2, b0, [freq([1, 0], b0), freq([0, 1], b0)])
@@ -218,9 +239,7 @@ def _golden_sets():
     axes = np.concatenate([sample_annulus(2, RHO, 10000, rng),
                            _slab_points(S0, zp, 200, rng),
                            rng.uniform(-zp.L(1), zp.L(1), size=(20, 2))])
-    b2 = GeneratorBasis(2)
-    S2 = FrequencySet.build(2, b2, [freq([1, 0], b2), freq([0, 1], b2),
-                                    freq([(Fraction(1, 2), 0), (0, Fraction(1, 3))], b2)])
+    S2 = _surd_set()
     rng = np.random.default_rng(20240818)
     surd = np.concatenate([sample_annulus(2, RHO, 3000, rng),
                            _slab_points(S2, zp, 300, rng)])
@@ -239,8 +258,6 @@ def golden_zones():
     every class of more than one point written out as hex floats (points
     separated by spaces, coordinates by commas)."""
     import hashlib
-
-    from spectra_lab.zones import ZoneGeometry
 
     out = {}
     for name, S, zp, pts in _golden_sets():

@@ -21,10 +21,16 @@ LAPACK serves its solves by route:
     band edges): the whole spectrum by divide and conquer, then the cut;
     stevd for a real tridiagonal fiber (a single cosine, or b = 0), sbevd for
     any other real fiber, hbevd for a complex one;
-  * one eigenpair by index (the oracle's crossing energy and its Gauss-node
-    vectors): bisection and inverse iteration (stebz + stein) on a real
-    tridiagonal fiber, sbevx / hbevx on any other.  Inside (0, 1/2) the
-    fiber eigenvalues are simple (Hill's equation), so an index is a band.
+  * one eigenpair by index (the oracle's crossing energy, and a Gauss-node
+    vector that fails its certificate): bisection and inverse iteration
+    (stebz + stein) on a real tridiagonal fiber, sbevx / hbevx on any other.
+    Inside (0, 1/2) the fiber eigenvalues are simple (Hill's equation), so
+    an index is a band;
+  * the crossing band's Gauss-node vectors: two Rayleigh-quotient inverse
+    iteration steps on every node at once, each one banded LU solve of the
+    stacked shifted fibers (gtsv when tridiagonal, gbsv otherwise), from the
+    band's grid eigenvectors; each node is certified by its residual and
+    the band's edges (BlochOracle1D._node_vectors).
 BlochOracle1D keeps the grid eigenvectors and, per (band, lambda), the
 crossing point and the Gauss-node eigenvectors of the crossing band, so a
 later point x, y only forms amplitudes.  In d = 2, on the square
@@ -43,14 +49,17 @@ its own partner and counts once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh, eigh_tridiagonal
+from scipy.linalg import (LinAlgError, eig_banded, eigh, eigh_tridiagonal,
+                          solve_banded)
 from scipy.optimize import brentq
 
 from .errors import NonHermitianPotential, NonLatticeFrequencies, TruncationCeiling
@@ -220,12 +229,22 @@ def _checked_inputs(lam, x, y, d: int):
     return lams, x, y
 
 
+def _check_sizes(**sizes):
+    """ValueError unless every size is a positive integer (a bool is not):
+    a float M_cut shifts the whole index set, and a float Nk the grid."""
+    for name, v in sizes.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise ValueError("%s must be a positive integer, got %r" % (name, v))
+
+
 def spectral_function(lam, x, y, b, M_cut: int, Nk: int, d: int = 1):
     """Midpoint-grid e_lambda(x, y); on-diagonal x == y gives N(lambda; x).
 
     lam may be a scalar or an ascending ladder (shared eigensolves).
-    Counting conventions E <= lam and E < lam are averaged.
+    Counting conventions E <= lam and E < lam are averaged.  M_cut and Nk
+    must be positive integers.
     """
+    _check_sizes(M_cut=M_cut, Nk=Nk)
     lams, x, y = _checked_inputs(lam, x, y, d)
     if d not in (1, 2):
         raise NonLatticeFrequencies("oracle implemented for d in {1, 2}")
@@ -246,20 +265,31 @@ def _banded_rep(four: dict, M_cut: int):
     return ms, bw
 
 
+def _fiber_bands(k, ms: np.ndarray, four: dict, bw: int) -> np.ndarray:
+    """The d = 1 fiber at each point of k (a float or an array) in lower band
+    storage, ab[..., t, i] = H[i + t, i]: shape k.shape + (bw + 1, n), real
+    when every coefficient is.  Only the diagonal depends on k."""
+    k = np.asarray(k, dtype=float)
+    n = ms.size
+    real = all(c.imag == 0 for c in four.values())
+    ab = np.zeros(k.shape + (bw + 1, n), dtype=float if real else complex)
+    ab[..., 0, :] = (k[..., None] + ms) ** 2
+    for th, c in four.items():
+        t = th[0]
+        if t == 0:
+            ab[..., 0, :] += c.real if real else c
+        elif t > 0:
+            # entry (m + t, m): lower band t; negative t is the Hermitian mirror
+            ab[..., t, : n - t] = c.real if real else c
+    return ab
+
+
 def _eig_banded_k(k: float, ms: np.ndarray, four: dict, bw: int,
                   emax: Optional[float] = None, index: Optional[int] = None,
                   vectors: bool = True):
     n = ms.size
-    real = all(c.imag == 0 for c in four.values())
-    ab = np.zeros((bw + 1, n), dtype=float if real else complex)
-    ab[0] = (k + ms) ** 2
-    for th, c in four.items():
-        t = th[0]
-        if t == 0:
-            ab[0] += c.real if real else c
-        elif t > 0:
-            # entry (m + t, m): lower band t; negative t is the Hermitian mirror
-            ab[t, : n - t] = c.real if real else c
+    ab = _fiber_bands(k, ms, four, bw)
+    real = not np.iscomplexobj(ab)
     # one eigenpair by index, or the whole spectrum and then the cut at emax
     sel = {} if index is None else {"select": "i", "select_range": (index, index)}
     if real and bw <= 1:
@@ -350,13 +380,22 @@ def _midpoint_d2(lams, x, y, four, M_cut, Nk):
 
 # -- edge-corrected d=1 oracle ---------------------------------------------------
 
+# Rayleigh-quotient steps per crossing-band node: the first from the
+# interpolated shift, the second from the first's Rayleigh quotient
+_RQI_STEPS = 2
+
 
 class BlochOracle1D:
     """High-accuracy d=1 spectral function: complete bands by midpoint over the
     half Brillouin zone (doubled by k -> -k symmetry), the Fermi-crossing band
-    by root-finding plus Gauss-Legendre quadrature."""
+    by root-finding plus Gauss-Legendre quadrature.  The crossing point k*
+    is a brentq root of the band's eigenvalue by index; a crossing within
+    1e-12 of 0 or 1/2 makes the band empty or whole.  The Gauss-node
+    eigenvectors come from one batched, certified inverse iteration
+    (_node_vectors).  M_cut, Nh and gauss_nodes must be positive integers."""
 
     def __init__(self, b, M_cut: int, Nh: int = 128, gauss_nodes: int = 48):
+        _check_sizes(M_cut=M_cut, Nh=Nh, gauss_nodes=gauss_nodes)
         self.four = lattice_fourier(b, 1)
         self.M_cut = M_cut
         self.Nh = Nh
@@ -367,6 +406,9 @@ class BlochOracle1D:
         self._edges = None       # band energies at k=0 and k=1/2
         self._emax_cached = 0.0
         self._crossing = {}      # (band, lambda) -> Gauss half-width, nodes, vectors
+        # eps ||H||_1 bounded over every fiber (|k + m| <= M_cut + 1/2)
+        self._rounding = np.finfo(float).eps * ((M_cut + 0.5) ** 2
+                                                + sum(abs(c) for c in self.four.values()))
 
     def _ensure_spectra(self, emax: float):
         if self._grid_spec is not None and emax <= self._emax_cached:
@@ -426,19 +468,78 @@ class BlochOracle1D:
         if hit is None:
             e0, eh = self._edges
             increasing = eh[n] > e0[n]
-            f = lambda k: _eig_banded_k(k, self.ms, self.four, self.bw, index=n,
-                                        vectors=False)[0][0] - lam
-            kstar = brentq(f, 1e-12, 0.5 - 1e-12, xtol=1e-13)
+            f = functools.cache(lambda k: _eig_banded_k(
+                k, self.ms, self.four, self.bw, index=n, vectors=False)[0][0] - lam)
+            lo, hi = 1e-12, 0.5 - 1e-12
+            if (f(lo) > 0) == (f(hi) > 0):
+                # the crossing lies within 1e-12 of an end of (0, 1/2): band n
+                # counts as empty (above lam there) or whole (below it)
+                kstar = 0.0 if (f(lo) > 0) == increasing else 0.5
+            else:
+                kstar = brentq(f, lo, hi, xtol=1e-13)
             a, b = (0.0, kstar) if increasing else (kstar, 0.5)
             halfw = 0.5 * (b - a)
             nodes = 0.5 * (a + b) + halfw * self.gx
-            vecs = np.array([_eig_banded_k(float(k), self.ms, self.four, self.bw,
-                                           index=n)[1][:, 0] for k in nodes])
+            vecs = self._node_vectors(n, nodes) if halfw else None
             hit = self._crossing[(n, lam)] = (halfw, nodes, vecs)
         return hit
 
+    def _node_vectors(self, n: int, nodes: np.ndarray) -> np.ndarray:
+        """Band n's eigenvectors at the nodes, one row per node.
+
+        Rayleigh-quotient inverse iteration on every node at once: the
+        shifted fibers H(k_j) - sigma_j are stacked into one block-diagonal
+        band matrix, zero at the block seams, so each step is one banded
+        solve.  A node starts from band n's eigenvector at the nearest grid k,
+        with sigma interpolated from band n's grid energies and edges.
+
+        Each node is then certified, else solved by index.  Its residual
+        r = ||Hv - Ev|| must be at most eps ||H||_1: converged vectors were
+        measured at up to 3.9 eps (|E| + sum |bhat|), and the ceiling keeps
+        |E| <= (M_cut / 2)^2, about ||H||_1 / 4.  And [E - r, E + r] must lie
+        inside band n's edges, each moved inward by its rounding bound
+        n eps ||H||_1.  Some eigenvalue of H(k_j) lies within r of E
+        (Parlett, The Symmetric Eigenvalue Problem, ch. 4), and in d = 1 no
+        other band has energies there, so v is band n's."""
+        ms, bw, Nh = self.ms, self.bw, self.Nh
+        size = ms.size
+        ab = _fiber_bands(nodes, ms, self.four, bw)
+        e0, eh = self._edges
+        grid = np.clip(np.rint(nodes * 2 * Nh - 0.5).astype(int), 0, Nh - 1)
+        vecs = np.array([self._grid_spec[i][1][:, n] for i in grid])
+        sigma = np.interp(nodes, np.r_[0.0, self.kgrid, 0.5],
+                          np.r_[e0[n], [w[n] for w, _ in self._grid_spec], eh[n]])
+        stacked = np.zeros((2 * bw + 1, nodes.size * size), dtype=ab.dtype)
+        for t in range(1, bw + 1):
+            stacked[bw + t] = ab[:, t].ravel()
+            stacked[bw - t, t:] = stacked[bw + t, :-t].conj()
+        res = np.full(nodes.size, np.inf)
+        for _ in range(_RQI_STEPS):
+            stacked[bw] = (ab[:, 0] - sigma[:, None]).ravel()
+            try:
+                vecs = solve_banded((bw, bw), stacked, vecs.ravel(),
+                                    check_finite=False).reshape(vecs.shape)
+            except LinAlgError:  # a shift on an eigenvalue: certify the last step
+                break
+            vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+            hv = ab[:, 0] * vecs
+            for t in range(1, bw + 1):
+                hv[:, t:] += ab[:, t, :-t] * vecs[:, :-t]
+                hv[:, :-t] += ab[:, t, :-t].conj() * vecs[:, t:]
+            sigma = np.einsum("ij,ij->i", vecs.conj(), hv).real
+            res = np.linalg.norm(hv - sigma[:, None] * vecs, axis=1)
+        lo, hi = min(e0[n], eh[n]), max(e0[n], eh[n])
+        tol = size * self._rounding
+        ok = ((res <= self._rounding) & (sigma - res > lo + tol)
+              & (sigma + res < hi - tol))
+        for j in np.flatnonzero(~ok):
+            vecs[j] = _eig_banded_k(float(nodes[j]), ms, self.four, bw, index=n)[1][:, 0]
+        return vecs
+
     def _crossing_band(self, n: int, lam: float, x: float, y: float) -> float:
         halfw, nodes, vecs = self._crossing_nodes(n, lam)
+        if not halfw:
+            return 0.0
         amp = lambda p: np.einsum("ij,ij->i",
                                   np.exp(1j * (nodes[:, None] + self.ms) * p), vecs)
         ux = amp(x)

@@ -175,7 +175,11 @@ class ZoneGeometry:
     def _xi1(self, xi: np.ndarray) -> list[bool]:
         """hit[i] = xi in Xi_1(subspaces[i]): some flag of the subspace confines
         xi at every level.  Children precede parents, so each is read, not
-        recomputed; dim 0 has no children and always holds."""
+        recomputed; dim 0 has no children and always holds.  Every query
+        passes here once: a ValueError unless the float array xi has d finite
+        coordinates."""
+        if xi.shape != (self.d,) or not all(map(math.isfinite, xi.tolist())):
+            raise ValueError("xi needs %d finite coordinates, got %r" % (self.d, xi))
         hit = []
         for kids in self._children:
             h = not kids
@@ -188,20 +192,18 @@ class ZoneGeometry:
 
     def in_xi1(self, V: QuasiLatticeSubspace, xi: np.ndarray) -> bool:
         """xi in Xi_1(V): some flag of V confines xi at every level."""
-        return self._xi1(xi)[self._position(V)]
+        return self._xi1(np.asarray(xi, dtype=float))[self._position(V)]
 
     def in_xi(self, V: QuasiLatticeSubspace, xi: np.ndarray) -> bool:
         """xi in Xi(V) per the subtraction rule: in Xi_1(V), not in Xi_1(U) for U not<= V."""
         i = self._position(V)
-        hit = self._xi1(xi)
+        hit = self._xi1(np.asarray(xi, dtype=float))
         contains = self._contains[i]
         return hit[i] and not any(h and not c for h, c in zip(hit, contains))
 
     def _label(self, xi: np.ndarray) -> int:
         """Index of the unique V with xi in Xi(V) (maximal Xi_1-membership),
         for a float array xi."""
-        if xi.shape != (self.d,) or not all(map(math.isfinite, xi.tolist())):
-            raise ValueError("xi needs %d finite coordinates, got %r" % (self.d, xi))
         hits = [i for i, h in enumerate(self._xi1(xi)) if h]
         dims = self._dims
         best = hits[0]

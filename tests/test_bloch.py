@@ -299,12 +299,12 @@ def test_oracle_cache_deterministic(b):
 
 
 @st.composite
-def banded_tables(draw):
+def banded_tables(draw, amp=0.5):
     """A real or complex Hermitian d = 1 table of half-bandwidth 1-3, with or
-    without a constant term."""
+    without a constant term; each real and imaginary part within amp."""
     bw = draw(st.integers(1, 3))
     cplx = draw(st.booleans())
-    part = st.floats(-0.5, 0.5)
+    part = st.floats(-amp, amp)
     table = {}
     for t in range(1, bw + 1):
         c = complex(draw(part), draw(part) if cplx else 0.0)
@@ -369,6 +369,155 @@ def test_eig_banded_routes_match_dense(table, k, M_cut, where):
         w_only, none = _eig_banded_k(k, ms, four, bw, emax=emax, vectors=False)
         assert none is None and w_only.size == kept
         assert np.max(np.abs(w_only - W[:kept]), initial=0.0) <= tol
+
+
+# -- the crossing band's Gauss-node vectors ---------------------------------------
+
+
+def _per_node(oracle):
+    """The oracle with every Gauss-node vector solved by index, one LAPACK
+    call per node: the route the batched inverse iteration replaced."""
+    oracle._node_vectors = lambda n, nodes: np.array(
+        [_eig_banded_k(float(k), oracle.ms, oracle.four, oracle.bw, index=n)[1][:, 0]
+         for k in nodes])
+    return oracle
+
+
+def _assert_nodes_match_index_solves(oracle):
+    """Every kept crossing-band node vector is the eigenvector that the solve
+    by index gives, up to phase."""
+    for (n, lam), (halfw, nodes, vecs) in oracle._crossing.items():
+        if not halfw:
+            continue
+        for k, v in zip(nodes, vecs):
+            ref = _eig_banded_k(float(k), oracle.ms, oracle.four, oracle.bw, index=n)[1][:, 0]
+            assert abs(np.vdot(ref, v)) >= 1 - 1e-12, (n, lam, k)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The k of every eigenvector solved by index from here on: the crossing
+    point's brentq asks for values only, so these are the nodes whose
+    certificate failed."""
+    import spectra_lab.bloch as bloch
+
+    ks, solve = [], bloch._eig_banded_k
+
+    def counted(k, *args, **kw):
+        if kw.get("index") is not None and kw.get("vectors", True):
+            ks.append(k)
+        return solve(k, *args, **kw)
+
+    monkeypatch.setattr(bloch, "_eig_banded_k", counted)
+    return ks
+
+
+@settings(max_examples=20, deadline=None)
+@given(banded_tables(1.5), st.integers(10, 40), st.floats(0.0, 1.0),
+       st.lists(st.floats(0.02, 0.9), min_size=1, max_size=3), POINT)
+def test_node_vectors_match_index_solves(table, M_cut, y, fracs, x):
+    """The batched, certified node vectors against one solve by index per
+    node, on tables strong enough that some certificates fail (103 of the
+    1,344 nodes these examples solve): each vector within
+    1 - |<v, v_ref>| <= 1e-12, and evaluate within 1e-13 of the per-node
+    route (measured worst 5.8e-15 over 40 further tables)."""
+    lams = np.sort(np.array(fracs)) * (M_cut / 2) ** 2
+    oracle = BlochOracle1D(table, M_cut=M_cut)
+    got = oracle.evaluate(lams, x, x + y)
+    _assert_nodes_match_index_solves(oracle)
+    want = _per_node(BlochOracle1D(table, M_cut=M_cut)).evaluate(lams, x, x + y)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+# b = 2.42 cos x + 0.8 cos 2x + 0.98 cos 3x: low bands whose nodes near a zone
+# edge are not converged after two steps at these rungs
+STRONG = {(1,): 1.21, (-1,): 1.21, (2,): 0.40, (-2,): 0.40, (3,): 0.49, (-3,): 0.49}
+STRONG_LAMS = np.array([12.5, 16.2, 20.6])
+
+
+def test_node_certificate_fails_and_falls_back(fallbacks):
+    """On STRONG at M_cut 62, 29 of these rungs' 144 nodes fail their
+    certificate (residual up to ~1e-6 after two steps) and take the solve by
+    index; the values still match the per-node route."""
+    oracle = BlochOracle1D(STRONG, M_cut=62)
+    got = oracle.evaluate(STRONG_LAMS, 0.3, 1.1)
+    assert fallbacks, "no certificate failed: the case no longer tests the fallback"
+    _assert_nodes_match_index_solves(oracle)
+    want = _per_node(BlochOracle1D(STRONG, M_cut=62)).evaluate(STRONG_LAMS, 0.3, 1.1)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_node_certificate_rejects_other_band(fallbacks):
+    """Start every node from a neighbouring band's grid data: inverse
+    iteration then converges to that band, with a small residual, and only
+    the certificate's window, band n's own edges, sends the node to the
+    solve by index.  Every crossing interval ends at the zone end where
+    band n meets band n - 1, so there band n - 1's energies come within the
+    gap of band n's bottom."""
+    oracle = BlochOracle1D(COS12, M_cut=40)
+    oracle.evaluate([300.0], 0.0)
+    e0, eh = oracle._edges
+    n = int(np.searchsorted(np.maximum(e0, eh), 150.0))
+    lo = min(e0[n], eh[n])
+    grid = oracle._grid_spec
+    # mid-band, and 1e-7 above the bottom, where every node is near that end
+    for lam, other in itertools.product((150.0, lo + 1e-7), (n - 1, n + 1)):
+        cols = np.arange(oracle._nbands)
+        cols[n] = other
+        oracle._grid_spec = [(w[cols], v[:, cols]) for w, v in grid]
+        oracle._crossing.clear()
+        fallbacks.clear()
+        halfw, nodes, vecs = oracle._crossing_nodes(n, lam)
+        assert len(fallbacks) >= nodes.size // 2, (lam, other, len(fallbacks))
+        _assert_nodes_match_index_solves(oracle)
+
+
+# b = 0.24 cos x: rungs one ulp and 1e-11 inside a band edge made brentq raise
+# "f(a) and f(b) must have different signs" at these bands
+EDGE_TABLE = {(1,): 0.12, (-1,): 0.12}
+EDGE_BANDS = (5, 40, 80)
+
+
+def test_oracle_rungs_at_band_edges():
+    """A crossing within 1e-12 of 0 or 1/2 counts band n as empty or whole.
+    From one ulp to 1e-10 above a bottom edge the value rises by at most
+    1e-9, and from 1e-10 below a top edge to one ulp below it by at most
+    1e-10.  Across an edge, 1e-11 to either side, it may fall: a complete
+    band's grid midpoint is O(Nh^-2) off the Gauss rule of the band just
+    below its top (7.4e-9 at band 5's top, 2.1e-10 at band 4's, measured), so
+    that step is bounded by 1e-8."""
+    oracle = BlochOracle1D(EDGE_TABLE, M_cut=220)
+    ms, bw = _banded_rep(oracle.four, 220)
+    e0 = _eig_banded_k(0.0, ms, oracle.four, bw, vectors=False)[0]
+    eh = _eig_banded_k(0.5, ms, oracle.four, bw, vectors=False)[0]
+    for n in EDGE_BANDS:
+        lo, hi = min(e0[n], eh[n]), max(e0[n], eh[n])
+        bottom = oracle.evaluate([lo - 1e-11, np.nextafter(lo, np.inf), lo + 1e-11,
+                                  lo + 1e-10], 0.0)
+        top = oracle.evaluate([hi - 1e-10, hi - 1e-11, np.nextafter(hi, -np.inf),
+                               hi + 1e-11], 0.0)
+        assert (np.diff(bottom[1:]) >= 0).all() and bottom[3] - bottom[1] <= 1e-9, n
+        assert (np.diff(top[:3]) >= 0).all() and top[2] - top[0] <= 1e-10, n
+        assert abs(bottom[1] - bottom[0]) <= 1e-8 and abs(top[3] - top[2]) <= 1e-8, n
+
+
+def test_sizes_checked():
+    """M_cut, Nk, Nh and gauss_nodes must be positive integers: M_cut 30.7
+    once gave 2.2151 where M_cut 30 gives 2.2378 (the index set became
+    -30.7, -29.7, ...), and Nh = 0, Nk = 0 or a d = 2 Nk of 7.5 failed deep
+    inside with an unrelated error."""
+    for kw in ({"M_cut": 30.7}, {"M_cut": True}, {"M_cut": 0}, {"Nh": 0},
+               {"Nh": 128.0}, {"gauss_nodes": 0}, {"gauss_nodes": 48.5}):
+        with pytest.raises(ValueError, match="positive integer"):
+            BlochOracle1D(MATHIEU, **{"M_cut": 30, **kw})
+    for M_cut, Nk, d in ((30.7, 256, 1), (30, 256.5, 1), (30, 0, 1), (30, True, 1),
+                         (8, 7.5, 2), (-8, 4, 2)):
+        with pytest.raises(ValueError, match="positive integer"):
+            spectral_function(50.0, np.full(d, 0.3), np.full(d, 0.3),
+                              MATHIEU if d == 1 else AXES2D, M_cut, Nk, d=d)
+    assert BlochOracle1D(MATHIEU, M_cut=np.int64(30), Nh=np.int32(16)).Nh == 16
+    assert spectral_function(50.0, 0.3, 0.3, MATHIEU, np.int64(30), 64) == \
+        spectral_function(50.0, 0.3, 0.3, MATHIEU, 30, 64)
 
 
 # -- d = 2 midpoint ---------------------------------------------------------------

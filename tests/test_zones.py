@@ -166,7 +166,8 @@ def test_d1_annulus_nonresonant(geom1, rng):
 # slab at once, so no closure step reaches it and only a check of the seed
 # itself catches it
 BAD_POINTS = [(2, (math.nan, 0.0)), (2, (0.5, math.inf)), (2, (-math.inf, math.nan)),
-              (2, (1.0, 2.0, 3.0)), (1, (math.inf,)), (1, (math.nan,)), (1, (1.0, 2.0))]
+              (2, (1.0, 2.0, 3.0)), (1, (math.inf,)), (1, (math.nan,)), (1, (1.0, 2.0)),
+              (2, (math.inf, 0.0))]
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +185,17 @@ def test_classify_rejects_bad_point(geom_by_dim, d, xi):
 def test_congruence_rejects_bad_point(geom_by_dim, d, xi):
     with pytest.raises(ValueError):
         geom_by_dim[d].congruence_class(xi)
+
+
+@pytest.mark.parametrize("d, xi", BAD_POINTS)
+def test_membership_rejects_bad_point(geom_by_dim, d, xi):
+    """in_xi and in_xi1 check xi as classify_point does: on axes2d,
+    in_xi({0}, (nan, 0)) once answered True."""
+    geom = geom_by_dim[d]
+    for V in geom.subspaces:
+        for member in (geom.in_xi, geom.in_xi1):
+            with pytest.raises(ValueError):
+                member(V, xi)
 
 
 def test_congruence_leaves_class_bound_at_once(zp2):

@@ -9,10 +9,11 @@ Two quadratures are provided:
   * an edge-corrected d=1 mode that sums complete bands by midpoint and
     resolves the Fermi-crossing band by a brentq root find plus Gauss
     quadrature.  The plain grid carries O(1/N_k) jitter from the sharp
-    eigenvalue cut, which buries the lambda^{-3/2} residual signal.  On the
-    diagonal the corrected mode reaches ~1e-12; off the diagonal its
-    complete-band midpoint is O(Nh^-2): 1.7e-7 at b = 0, Nh = 128,
-    |x - y| = 1 on lambda in [50, 800].
+    eigenvalue cut, which buries the lambda^{-3/2} residual signal.  Its
+    complete-band midpoint is O(Nh^-2) on and off the diagonal (ROADMAP
+    item 19): at b = 0.24 cos x, Nh = 128 it is off by 2.0e-9, 4.0e-10,
+    5.7e-11 and 6.6e-12 at x = y = 0 and lambda = 10, 30, 100 and 400, and
+    by 2.0e-7 at (x, y) = (0.3, 1.3).
 
 A fiber is real whenever every Fourier coefficient is real (every even
 potential).  In d = 1 it is banded with half-bandwidth max |theta|, and

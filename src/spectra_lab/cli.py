@@ -44,18 +44,20 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _frequency_set(cfg: RunConfig) -> FrequencySet:
-    return FrequencySet.build(cfg.dimension, GeneratorBasis(cfg.surd_D),
-                              potential_frequencies(cfg.potential))
+def _zone_inputs(cfg: RunConfig, samples: int) -> tuple:
+    """The frequency set of b, the zone parameters and `samples` annulus
+    points drawn with the config's seed."""
+    S = FrequencySet.build(cfg.dimension, GeneratorBasis(cfg.surd_D),
+                           potential_frequencies(cfg.potential))
+    zp = ZoneParameters.create(cfg.rho_n, cfg.dimension, alpha=cfg.alpha,
+                               ktilde=cfg.ktilde)
+    rng = np.random.default_rng(cfg.seed)
+    return S, zp, sample_annulus(cfg.dimension, cfg.rho_n, samples, rng)
 
 
 def cmd_zones(cfg: RunConfig) -> tuple:
-    S = _frequency_set(cfg)
-    zp = ZoneParameters.create(cfg.rho_n, cfg.dimension, alpha=cfg.alpha,
-                               ktilde=cfg.ktilde)
+    S, zp, pts = _zone_inputs(cfg, cfg.samples)
     geom = ZoneGeometry(S, zp)
-    rng = np.random.default_rng(cfg.seed)
-    pts = sample_annulus(cfg.dimension, cfg.rho_n, cfg.samples, rng)
     dim_counts: dict = {}
     max_class_size = 0
     max_diameter = 0.0
@@ -85,13 +87,9 @@ def cmd_zones(cfg: RunConfig) -> tuple:
 
 
 def cmd_gauge(cfg: RunConfig) -> tuple:
-    S = _frequency_set(cfg)
-    zp = ZoneParameters.create(cfg.rho_n, cfg.dimension, alpha=cfg.alpha,
-                               ktilde=cfg.ktilde)
+    S, zp, pts = _zone_inputs(cfg, cfg.samples)
     cf = CutoffFamily(cfg.rho_n, zp.beta)
     b = multiplication_symbol(cfg.potential)
-    rng = np.random.default_rng(cfg.seed)
-    pts = sample_annulus(cfg.dimension, cfg.rho_n, cfg.samples, rng)
     grid = XiGrid(pts, zp.beta)
     out = run_gauge(b, cfg.ktilde, cf, S, norm_grid=grid)
     b3 = verify_b3(out, pts, S, zp)
@@ -249,13 +247,8 @@ def cmd_validate(cfg: RunConfig) -> tuple:
     # zone partition sanity for the configured frequencies (skipped for b = 0)
     if any(cfg.potential.values()):
         try:
-            S = _frequency_set(cfg)
-            zp = ZoneParameters.create(cfg.rho_n, cfg.dimension,
-                                       alpha=cfg.alpha, ktilde=cfg.ktilde)
+            S, zp, pts = _zone_inputs(cfg, min(cfg.samples, 200))
             geom = ZoneGeometry(S, zp)
-            rng = np.random.default_rng(cfg.seed)
-            pts = sample_annulus(cfg.dimension, cfg.rho_n,
-                                 min(cfg.samples, 200), rng)
             dims = [geom.classify_point(xi).dim for xi in pts]
             ok = all(0 <= m <= cfg.dimension for m in dims)
             if cfg.dimension == 1:
@@ -305,11 +298,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, command=args.command,
                            overrides=overrides)
-    except ConfigError as e:
-        for v in e.violations:
-            sys.stderr.write("config error: %s\n" % v)
-        return 2
-    try:
         return dispatch(args.command, cfg)
     except ConfigError as e:
         for v in e.violations:

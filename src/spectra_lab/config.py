@@ -3,8 +3,10 @@ round-tripping (rationals as "p/q" strings, complex numbers as [re, im])."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -14,16 +16,23 @@ from .frequency import (FrequencySet, GeneratorBasis, freq,
                         hermitian_violations, potential_frequencies)
 
 
+def _integer(v, lo=-math.inf) -> bool:
+    """A JSON integer >= lo; JSON true and false are no integers."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
 def _real(v) -> bool:
-    """A finite JSON number (json reads NaN and Infinity as floats)."""
-    return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
+    """A JSON number with a finite float value: json reads NaN and Infinity
+    as floats, an integer past the float range has none, and JSON true and
+    false are no numbers."""
+    if _integer(v):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float) and math.isfinite(v)
 
 
 def _parse_rational(v, violations, where):
     try:
-        if isinstance(v, str):
-            return Fraction(v)
-        if isinstance(v, int):
+        if isinstance(v, str) or _integer(v):
             return Fraction(v)
     except (ValueError, ZeroDivisionError):
         pass
@@ -59,7 +68,7 @@ def _parse_complex(v, violations, where):
 @dataclass(frozen=True)
 class RunConfig:
     dimension: int
-    rho_n: float
+    rho_n: float = 1000.0
     potential: dict = field(default_factory=dict)  # {FrequencyVector: coeff}
     surd_D: Optional[int] = None
     ktilde: int = 1
@@ -108,16 +117,25 @@ def parse_config(path: str, command: Optional[str] = None,
 def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
     """Check a raw config; the potential becomes one Fourier table keyed by
     exact FrequencyVector, with equal theta summed and the first-seen order
-    kept (the gauge composes in that order)."""
+    kept (the gauge composes in that order).  An absent setting, or one in
+    violation, takes the default of its RunConfig field."""
     violations = []
     dimension_violations = []
+
+    def setting(key, ok, message, src=raw, name=None):
+        default = getattr(RunConfig, name or key)
+        v = src.get(key, default)
+        if ok(v):
+            return v
+        violations.append(message)
+        return default
 
     for k in raw:
         if k not in _KNOWN_KEYS:
             violations.append("unknown key %r" % k)
 
     d = raw.get("dimension")
-    if not isinstance(d, int) or d < 1:
+    if not _integer(d, 1):
         violations.append("dimension must be a positive integer")
         d = 1
     if command in ("bloch", "compare") and d not in (1, 2):
@@ -126,17 +144,15 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
 
     surd = raw.get("surd_D")
     if surd is not None:
-        if not isinstance(surd, int) or surd <= 0 or int(surd**0.5) ** 2 == surd:
+        if not _integer(surd, 1) or int(surd**0.5) ** 2 == surd:
             violations.append("surd_D must be a positive non-square integer")
             surd = None
         elif command in ("bloch", "compare", "heat"):
             violations.append("command %r needs rational frequencies "
                               "(surd_D must be null)" % command)
 
-    rho = raw.get("rho_n", 1000.0)
-    if not _real(rho) or rho <= 1.0:
-        violations.append("rho_n must be a finite number > 1")
-        rho = 1000.0
+    rho = setting("rho_n", lambda v: _real(v) and v > 1.0,
+                  "rho_n must be a finite number > 1")
 
     basis = GeneratorBasis(surd)
     table = {}
@@ -177,14 +193,9 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
             violations.append("command %r needs the frequencies with a nonzero "
                               "coefficient to span R^%d" % (command, d))
 
-    ktilde = raw.get("ktilde", 1)
-    if not isinstance(ktilde, int) or ktilde < 1:
-        violations.append("ktilde must be a positive integer")
-        ktilde = 1
-    k_max = raw.get("k_max", 3)
-    if not isinstance(k_max, int) or k_max < 1:
-        violations.append("k_max must be a positive integer")
-        k_max = 3
+    positive = functools.partial(_integer, lo=1)
+    ktilde = setting("ktilde", positive, "ktilde must be a positive integer")
+    k_max = setting("k_max", positive, "k_max must be a positive integer")
 
     alpha = raw.get("alpha")
     if alpha is not None:
@@ -201,28 +212,21 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
             else:
                 alpha = tuple(float(a) for a in alpha)
 
-    M_cut = raw.get("M_cut", 40)
-    if not isinstance(M_cut, int) or M_cut < 1:
-        violations.append("M_cut must be a positive integer")
-        M_cut = 40
-    N_k = raw.get("N_k", 512)
-    if not isinstance(N_k, int) or N_k < 1:
-        violations.append("N_k must be a positive integer")
-        N_k = 512
+    M_cut = setting("M_cut", positive, "M_cut must be a positive integer")
+    N_k = setting("N_k", positive, "N_k must be a positive integer")
 
     lad = raw.get("ladder", {})
     if not isinstance(lad, dict):
         violations.append("ladder must be an object {min, max, count}")
         lad = {}
-    lmin = lad.get("min", 100.0)
-    lmax = lad.get("max", 10000.0)
-    lcount = lad.get("count", 40)
+    lmin = lad.get("min", RunConfig.ladder_min)
+    lmax = lad.get("max", RunConfig.ladder_max)
     if not (_real(lmin) and _real(lmax) and lmin > 0 and lmax > lmin):
         violations.append("ladder needs finite 0 < min < max")
-        lmin, lmax = 100.0, 10000.0
-    if not isinstance(lcount, int) or lcount < 2:
-        violations.append("ladder count must be an integer >= 2")
-        lcount = 40
+        lmin, lmax = RunConfig.ladder_min, RunConfig.ladder_max
+    lcount = setting("count", functools.partial(_integer, lo=2),
+                     "ladder count must be an integer >= 2", lad,
+                     "ladder_count")
 
     def point(key):
         p = raw.get(key)
@@ -236,24 +240,17 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
             return None
         return tuple(float(v) for v in p)
 
-    x = point("x") or tuple(0.0 for _ in range(d))
+    x = point("x") or RunConfig.x * d
     y = point("y")
     if command == "compare" and raw.get("y") is not None:
         violations.append("command 'compare' evaluates on the diagonal only "
                           "(y must be null; bloch takes y)")
 
-    samples = raw.get("samples", 1000)
-    if not isinstance(samples, int) or samples < 1:
-        violations.append("samples must be a positive integer")
-        samples = 1000
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        violations.append("seed must be a non-negative integer")
-        seed = 0
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        violations.append("out must be a path string")
-        out = None
+    samples = setting("samples", positive, "samples must be a positive integer")
+    seed = setting("seed", functools.partial(_integer, lo=0),
+                   "seed must be a non-negative integer")
+    out = setting("out", lambda v: v is None or isinstance(v, str),
+                  "out must be a path string")
 
     all_violations = violations + hermitian + dimension_violations
     if all_violations:

@@ -33,10 +33,6 @@ class GeneratorBasis:
                 raise UnsupportedGenerators("D must be a positive non-square integer")
 
     @property
-    def size(self) -> int:
-        return 2 if self.surd_D is not None else 1
-
-    @property
     def D(self) -> int:
         return self.surd_D or 0
 
@@ -70,7 +66,7 @@ class FrequencyVector:
 
     def components(self) -> list[QSurd]:
         D = self.basis.D
-        return [QSurd(a, b, D if b != 0 else D) for a, b in self.coords]
+        return [QSurd(a, b, D) for a, b in self.coords]
 
     def to_float(self) -> np.ndarray:
         """The float view, computed once; the array is read-only."""
@@ -86,9 +82,6 @@ class FrequencyVector:
     def norm_sq(self) -> QSurd:
         c = self.components()
         return dot(c, c)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.to_float()))
 
     def __add__(self, other: "FrequencyVector") -> "FrequencyVector":
         return FrequencyVector(
@@ -147,11 +140,10 @@ class FrequencySet:
 
     @classmethod
     def build(cls, dimension: int, basis: GeneratorBasis,
-              vectors: Iterable[FrequencyVector], symmetrize: bool = True,
+              vectors: Iterable[FrequencyVector],
               require_spanning: bool = True) -> "FrequencySet":
         elems = set(vectors)
-        if symmetrize:
-            elems |= {-v for v in elems}
+        elems |= {-v for v in elems}
         elems.add(FrequencyVector([(0, 0)] * dimension, basis))
         fs = cls(dimension, basis, frozenset(elems))
         if require_spanning and fs.real_rank() < dimension:
@@ -279,8 +271,6 @@ def check_condition_A(S: FrequencySet, k_max: int):
     Returns (True, None) on pass, (False, witness_tuple) on the first violation:
     a tuple that is really linearly dependent yet admits no integer relation.
     """
-    if S.basis.size > 2:
-        raise UnsupportedGenerators("v1 supports at most one quadratic surd")
     d = S.dimension
     big = algebraic_sum(S, k_max)
     candidates = big.nonzero()
@@ -315,8 +305,8 @@ def all_subspaces(S: FrequencySet) -> list[QuasiLatticeSubspace]:
     return out
 
 
-def _intersection(U: QuasiLatticeSubspace, V: QuasiLatticeSubspace,
-                  gb: GeneratorBasis) -> list[list[QSurd]]:
+def _intersection(U: QuasiLatticeSubspace,
+                  V: QuasiLatticeSubspace) -> list[list[QSurd]]:
     """Basis (rows, field elements) of U ∩ V."""
     ur, vr = U.rref_rows(), V.rref_rows()
     if not ur or not vr:
@@ -362,9 +352,8 @@ def _complement_within(U_rows: list[list[QSurd]], W_rows: list[list[QSurd]]) -> 
     return Q[:, : len(vecs)]
 
 
-def _min_angle_sine(U: QuasiLatticeSubspace, V: QuasiLatticeSubspace,
-                    gb: GeneratorBasis) -> float:
-    W = _intersection(U, V, gb)
+def _min_angle_sine(U: QuasiLatticeSubspace, V: QuasiLatticeSubspace) -> float:
+    W = _intersection(U, V)
     A = _complement_within(U.rref_rows(), W)
     B = _complement_within(V.rref_rows(), W)
     sv = np.linalg.svd(A.T @ B, compute_uv=False)
@@ -388,7 +377,7 @@ def diophantine_constants(S: FrequencySet) -> DiophantineReport:
     for U, V in itertools.combinations(subs, 2):
         if strongly_distinct(U, V):
             found = True
-            s_val = min(s_val, _min_angle_sine(U, V, S.basis))
+            s_val = min(s_val, _min_angle_sine(U, V))
     return DiophantineReport(
         s=s_val if found else 1.0,
         r=float(float(r2) ** 0.5),

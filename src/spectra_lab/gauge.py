@@ -173,7 +173,6 @@ def _graded_conjugate(H: dict, iPsi: dict, cap: int) -> dict:
 
 
 def run_gauge(b: Symbol, ktilde: int, cf: CutoffFamily, S: FrequencySet,
-              check_condition: bool = True,
               norm_grid: Optional[XiGrid] = None) -> GaugeOutput:
     """Order-by-order gauge construction up to grade ktilde.
 
@@ -186,13 +185,13 @@ def run_gauge(b: Symbol, ktilde: int, cf: CutoffFamily, S: FrequencySet,
 
     The psi-norm ladder and the remainder ledger (the class norm of the
     grade ktilde+1 part of the full conjugation) are built only when
-    norm_grid is given; nothing else reads them.
+    norm_grid is given; nothing else reads them.  Raises
+    ConditionAViolation unless S satisfies Condition A up to order ktilde.
     """
     _require_multiplication(b)
-    if check_condition:
-        ok, witness = check_condition_A(S, ktilde)
-        if not ok:
-            raise ConditionAViolation("witness tuple: %r" % (witness,))
+    ok, witness = check_condition_A(S, ktilde)
+    if not ok:
+        raise ConditionAViolation("witness tuple: %r" % (witness,))
     H: dict = {0: laplace_symbol(S.dimension, S.basis)}
     if not b.is_zero():
         H[1] = b

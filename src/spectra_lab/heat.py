@@ -101,15 +101,18 @@ def apply_H(elem: TermAlgebraElement, b: TrigPotential) -> TermAlgebraElement:
     return TermAlgebraElement(d, sp.expand(-lap + b.to_expr(ys) * elem.expr))
 
 
-def _require_j(j: int, j_max: int):
-    if j > j_max:
-        raise ValueError("sigma_j capped at j_max=%d (term algebra growth)" % j_max)
+_J_MAX = 4  # the highest sigma_j: the term algebra grows fast with j
 
 
-def sigma_j(b: TrigPotential, j: int, j_max: int = 4) -> sp.Expr:
+def _require_j(j: int):
+    if j > _J_MAX:
+        raise ValueError("sigma_j capped at j_max=%d (term algebra growth)" % _J_MAX)
+
+
+def sigma_j(b: TrigPotential, j: int) -> sp.Expr:
     """Verbatim k-sum: sum_k (-1)^j Gamma(j+d/2) /
     (4^k k! (k+j)! (j-k)! Gamma(k+d/2+1)) * H^{k+j}(|z|^{2k}) at y = x."""
-    _require_j(j, j_max)
+    _require_j(j)
     d = b.dimension
     acc = sp.Integer(0)
     for k in range(j + 1):
@@ -123,16 +126,16 @@ def sigma_j(b: TrigPotential, j: int, j_max: int = 4) -> sp.Expr:
     return sp.simplify(acc)
 
 
-def a_from_sigma(b: TrigPotential, j: int, j_max: int = 4) -> sp.Expr:
+def a_from_sigma(b: TrigPotential, j: int) -> sp.Expr:
     """a_j(x) = sigma_j(x) / ((4 pi)^{d/2} Gamma(d/2 - j + 1)); the 1/Gamma
     factor at non-positive integers is an exact zero, returned without
-    computing sigma_j (j_max is checked first all the same)."""
-    _require_j(j, j_max)
+    computing sigma_j (the cap on j is checked first all the same)."""
+    _require_j(j)
     d = b.dimension
     gam = sp.gamma(sp.Rational(d, 2) - j + 1)
     if gam == sp.zoo or gam.is_infinite:
         return sp.Integer(0)
-    sig = sigma_j(b, j, j_max)
+    sig = sigma_j(b, j)
     return sp.simplify(sig / ((4 * sp.pi) ** sp.Rational(d, 2) * gam))
 
 
@@ -144,7 +147,7 @@ def weyl_constant(d: int) -> sp.Expr:
     return unit_ball_volume(d) / (2 * sp.pi) ** d
 
 
-def closed_form_a(b: TrigPotential, j: int, x: Optional[Sequence] = None):
+def closed_form_a(b: TrigPotential, j: int) -> sp.Expr:
     """Closed forms a_1 = -(d w_d / (2 (2 pi)^d)) b and
     a_2 = (d (d-2) w_d / (24 (2 pi)^d)) (3 b^2 - Delta b); exact."""
     d = b.dimension
@@ -159,8 +162,7 @@ def closed_form_a(b: TrigPotential, j: int, x: Optional[Sequence] = None):
                * (3 * bexpr**2 - lap))
     else:
         raise ValueError("closed forms provided for j in {1, 2}")
-    out = sp.simplify(out)
-    return out if x is None else at_point(out, x)
+    return sp.simplify(out)
 
 
 def at_point(expr: sp.Expr, x: Sequence) -> sp.Expr:
@@ -189,13 +191,13 @@ def discrepancy_report(b: TrigPotential, x: Sequence,
                        closed: Optional[sp.Expr] = None) -> dict:
     """Verbatim sigma-engine a_1 versus the closed form at a point; the ratio
     2/(d+2) is the known normalization gap of the verbatim k-sum.  closed is
-    closed_form_a(b, 1, x) when the caller has it already."""
+    at_point(closed_form_a(b, 1), x) when the caller has it already."""
     d = b.dimension
     xs, _ = _xy_vars(d)
     subs = dict(zip(xs, [sp.sympify(v) for v in x]))
     verbatim = sp.simplify(a_from_sigma(b, 1).subs(subs))
     if closed is None:
-        closed = closed_form_a(b, 1, x)
+        closed = at_point(closed_form_a(b, 1), x)
     ratio = sp.simplify(verbatim / closed) if closed != 0 else None
     return {
         "a1_verbatim": verbatim,

@@ -121,8 +121,8 @@ def fit_power_coefficient(lams, residuals, exponent: float) -> float:
     return float(basis @ res / (basis @ basis))
 
 
-def binned_envelope(lams, residuals, ratio: float = 1.3):
-    """Geometric bins of the given ratio; median |R| per bin; bins where the
+def binned_envelope(lams, residuals):
+    """Geometric bins of ratio 1.3; median |R| per bin; bins where the
     residual changes sign are dropped (oscillatory terms).  If the sign rule
     keeps fewer than 3 bins the residual oscillates faster than the bin width
     and the median |R| over all bins is itself the envelope, so all bins are
@@ -134,7 +134,7 @@ def binned_envelope(lams, residuals, ratio: float = 1.3):
     centers, medians, coherent = [], [], []
     lo = lams[0]
     while lo <= lams[-1] * (1.0 + 1e-12):
-        hi = lo * ratio
+        hi = lo * 1.3
         mask = (lams >= lo) & (lams < hi)
         if mask.any():
             chunk = res[mask]
@@ -169,14 +169,13 @@ class ResidualLadder:
     slopes: dict             # L -> binned log-log slope (None if noise floor)
     amplitudes: dict         # L -> envelope amplitude exp(intercept)
     noise_floor: dict        # L -> bool
-    bin_ratio: float = 1.3
 
 
 def residual_ladder(coeffs: ExpansionCoefficients, ladder, oracle_values,
-                    L: int, x, y=None, bin_ratio: float = 1.3,
-                    noise_rel: float = 1e-8) -> ResidualLadder:
+                    L: int, x, y=None) -> ResidualLadder:
     """R_L(lambda) = N_oracle - expansion through L terms, for each L' <= L,
-    with sign-robust binned slope fits."""
+    with sign-robust binned slope fits; an R_L below 1e-8 max |N_oracle| is
+    at the noise floor and gets no fit."""
     ladder = np.asarray(ladder, dtype=float)
     if ladder.ndim != 1 or not (np.diff(ladder) > 0).all():
         raise ValueError("ladder must be strictly increasing")
@@ -191,18 +190,17 @@ def residual_ladder(coeffs: ExpansionCoefficients, ladder, oracle_values,
     for Lp in range(L + 1):
         R = oracle_values - expansion_eval(coeffs, ladder, x, L=Lp)
         residuals[Lp] = R
-        if scale > 0 and np.max(np.abs(R)) < noise_rel * scale:
+        if scale > 0 and np.max(np.abs(R)) < 1e-8 * scale:
             noise[Lp] = True
             slopes[Lp] = None
             amps[Lp] = None
             continue
         noise[Lp] = False
-        centers, medians = binned_envelope(ladder, R, bin_ratio)
+        centers, medians = binned_envelope(ladder, R)
         slopes[Lp], amps[Lp] = _log_slope(centers, medians)
     return ResidualLadder(ladder=ladder, x=x, y=y,
                           oracle_values=oracle_values, residuals=residuals,
-                          slopes=slopes, amplitudes=amps, noise_floor=noise,
-                          bin_ratio=bin_ratio)
+                          slopes=slopes, amplitudes=amps, noise_floor=noise)
 
 
 def diagonal_growth_check(lams, values, d: int, C: Optional[float] = None) -> dict:
@@ -219,11 +217,9 @@ def diagonal_growth_check(lams, values, d: int, C: Optional[float] = None) -> di
 # -- spectral projection perturbation lemmas -------------------------------------
 
 
-def _spectral_indicator(evals, lo: float, hi: float,
-                        incl_lo: bool = True, incl_hi: bool = True):
-    left = evals >= lo if incl_lo else evals > lo
-    right = evals <= hi if incl_hi else evals < hi
-    return (left & right).astype(float)
+def _spectral_indicator(evals, lo: float, hi: float):
+    """1.0 where lo <= eval <= hi, else 0.0."""
+    return ((evals >= lo) & (evals <= hi)).astype(float)
 
 
 def _random_hermitian(rng, n: int) -> np.ndarray:
@@ -232,24 +228,24 @@ def _random_hermitian(rng, n: int) -> np.ndarray:
 
 
 def check_projection_perturbation(n: int, s: int, eps: float, trials: int,
-                                  seed: int, a: float = 0.0,
+                                  seed: int,
                                   delta: Optional[float] = None) -> dict:
     """Seeded random trials of the projection perturbation bounds.
 
-    H_2 is Hermitian with spectrum in [a+1, a+10]; H_1 = H_2 + E with
-    ||E (H_2 - a + 1)^s|| < eps; lambda in the middle of the spectrum and
+    H_2 is Hermitian with spectrum in [1, 10]; H_1 = H_2 + E with
+    ||E (H_2 + 1)^s|| < eps; lambda = 5 in the middle of the spectrum and
     delta = sqrt(eps) by default.  Checks the norm bound
-    ||E_{(-inf, lam-delta]}(H_1) E_{[lam+delta, inf)}(H_2) (H_2-a+1)^s||
+    ||E_{(-inf, lam-delta]}(H_1) E_{[lam+delta, inf)}(H_2) (H_2+1)^s||
     <= pi eps / delta and the vector bound
     ||E_lam(H_2) f - E_lam(H_1) f|| <= 2 ||E_{[lam-delta,lam+delta]}(H_2) f||
-    + (2 pi eps / delta) (||E_{(-inf,lam]}(H_2) f|| + ||(H_2-a+1)^{-s} f||).
+    + (2 pi eps / delta) (||E_{(-inf,lam]}(H_2) f|| + ||(H_2+1)^{-s} f||).
     """
     if delta is None:
         delta = math.sqrt(eps)
     if delta < eps:
         raise ValueError("requires delta >= eps")
     rng = np.random.default_rng(seed)
-    lam = a + 5.0
+    lam = 5.0
     bound1 = math.pi * eps / delta
     slack1_min = math.inf
     slack2_min = math.inf
@@ -257,14 +253,14 @@ def check_projection_perturbation(n: int, s: int, eps: float, trials: int,
     for t in range(trials):
         ev = np.sort(np.linalg.eigvalsh(_random_hermitian(rng, n)))
         span = ev[-1] - ev[0]
-        ev = a + 1.0 + 9.0 * (ev - ev[0]) / (span if span > 0 else 1.0)
+        ev = 1.0 + 9.0 * (ev - ev[0]) / (span if span > 0 else 1.0)
         U = np.linalg.qr(_random_hermitian(rng, n)
                          + 1j * _random_hermitian(rng, n))[0]
         H2 = (U * ev) @ U.conj().T
         H2 = (H2 + H2.conj().T) / 2.0
 
         E = _random_hermitian(rng, n)
-        weight = np.linalg.matrix_power(H2 - (a - 1.0) * np.eye(n), s)
+        weight = np.linalg.matrix_power(H2 + np.eye(n), s)
         cur = np.linalg.norm(E @ weight, 2)
         E *= 0.5 * eps / cur
         H1 = H2 + E
@@ -277,7 +273,7 @@ def check_projection_perturbation(n: int, s: int, eps: float, trials: int,
             @ V1.conj().T
         P2_high = (V2 * _spectral_indicator(ev2, lam + delta, np.inf)) \
             @ V2.conj().T
-        W2 = (V2 * (ev2 - a + 1.0) ** s) @ V2.conj().T
+        W2 = (V2 * (ev2 + 1.0) ** s) @ V2.conj().T
         lhs1 = np.linalg.norm(P1_low @ P2_high @ W2, 2)
 
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -286,7 +282,7 @@ def check_projection_perturbation(n: int, s: int, eps: float, trials: int,
         P1_lam = (V1 * _spectral_indicator(ev1, -np.inf, lam)) @ V1.conj().T
         P2_win = (V2 * _spectral_indicator(ev2, lam - delta, lam + delta)) \
             @ V2.conj().T
-        Winv = (V2 * (ev2 - a + 1.0) ** (-s)) @ V2.conj().T
+        Winv = (V2 * (ev2 + 1.0) ** (-s)) @ V2.conj().T
         lhs2 = np.linalg.norm(P2_lam @ f - P1_lam @ f)
         rhs2 = (2.0 * np.linalg.norm(P2_win @ f)
                 + 2.0 * math.pi * eps / delta * np.linalg.norm(P2_lam @ f)
@@ -349,15 +345,14 @@ class MatrixFamily:
                    for k, C in enumerate(self.coeffs) if k >= 1)
 
 
-def random_family(n: int, degree: int, seed: int, scale: float = 0.1,
-                  r_ref: float = 3.0) -> MatrixFamily:
-    """Random Hermitian polynomial family with ||S_k|| = scale / r_ref^k, so
-    ||S(r)|| stays of order scale for r up to r_ref."""
+def random_family(n: int, degree: int, seed: int) -> MatrixFamily:
+    """Random Hermitian polynomial family with ||S_k|| = 0.1 / 3^k, so
+    ||S(r)|| stays of order 0.1 for r up to 3."""
     rng = np.random.default_rng(seed)
     coeffs = []
     for k in range(degree + 1):
         H = _random_hermitian(rng, n)
-        coeffs.append(scale / r_ref**k * H / max(np.linalg.norm(H, 2), 1e-30))
+        coeffs.append(0.1 / 3.0**k * H / max(np.linalg.norm(H, 2), 1e-30))
     return MatrixFamily(tuple(coeffs))
 
 

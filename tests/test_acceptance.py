@@ -33,8 +33,8 @@ import sympy as sp
 from spectra_lab.bloch import BlochOracle1D, free_lds_d1, free_lds_d2
 from spectra_lab.frequency import FrequencySet, GeneratorBasis, algebraic_sum, freq
 from spectra_lab.gauge import CutoffFamily, cutoff_eval, run_gauge, verify_b3
-from spectra_lab.heat import (TrigPotential, closed_form_a, cosine_potential,
-                              discrepancy_report)
+from spectra_lab.heat import (TrigPotential, at_point, closed_form_a,
+                              cosine_potential, discrepancy_report)
 from spectra_lab.symbols import XiGrid, is_symmetric, multiplication_symbol
 from spectra_lab.validation import (binned_envelope,
                                     check_projection_perturbation,
@@ -211,7 +211,7 @@ def test_criterion_09_geometry_suite(basis):
 def test_criterion_10_heat_invariant_cross_check(diag_ladders):
     assert closed_form_a(cosine_potential(2), 2) == 0
     b = TrigPotential.build(1, {(1,): 1, (-1,): 1})
-    assert sp.simplify(closed_form_a(b, 1, [0]) + 1 / sp.pi) == 0
+    assert sp.simplify(at_point(closed_form_a(b, 1), [0]) + 1 / sp.pi) == 0
     b02 = TrigPotential.build(1, {(1,): sp.Rational(1, 5),
                                   (-1,): sp.Rational(1, 5)})
     rep = discrepancy_report(b02, [0])

@@ -1,10 +1,12 @@
+import copy
 import json
 import os
 
 import pytest
 
 from spectra_lab.cli import main
-from spectra_lab.config import parse_config, serialize_config, validate_config
+from spectra_lab.config import (RunConfig, parse_config, serialize_config,
+                                validate_config)
 from spectra_lab.errors import (Malformed, NonHermitianPotential,
                                 UnsupportedDimension)
 from spectra_lab.frequency import GeneratorBasis, freq
@@ -109,6 +111,45 @@ def test_all_violations_collected(tmp_path):
     assert len(exc.value.violations) == 3
 
 
+def test_defaults_are_runconfig_fields():
+    cfg = validate_config({"dimension": 1,
+                           "frequencies": MATHIEU_CFG["frequencies"]})
+    assert cfg == RunConfig(dimension=1, potential=cfg.potential)
+
+
+BOOL_CASES = [
+    (("dimension",), "dimension must be a positive integer"),
+    (("ktilde",), "ktilde must be a positive integer"),
+    (("k_max",), "k_max must be a positive integer"),
+    (("M_cut",), "M_cut must be a positive integer"),
+    (("N_k",), "N_k must be a positive integer"),
+    (("samples",), "samples must be a positive integer"),
+    (("seed",), "seed must be a non-negative integer"),
+    (("ladder", "count"), "ladder count must be an integer >= 2"),
+    (("ladder", "min"), "ladder needs finite 0 < min < max"),
+    (("x", 0), "x must be a list of d finite coordinates"),
+    (("frequencies", 0, "theta", 0), "frequencies[0]: expected rational"),
+    (("frequencies", 0, "coeff"), "frequencies[0]: expected finite number"),
+]
+
+
+@pytest.mark.parametrize("path, message", [
+    pytest.param(path, message, id=".".join(map(str, path)))
+    for path, message in BOOL_CASES])
+def test_json_bool_is_no_number(tmp_path, capsys, path, message):
+    """JSON true is no integer, number, rational or coefficient: the run
+    exits 2 on a config error, where it ran with 1 or crashed before."""
+    raw = copy.deepcopy(MATHIEU_CFG)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = True
+    assert main(["bloch", "--config", _write(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " + message in err
+    assert "Traceback" not in err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     cfgpath = _write(tmp_path, MATHIEU_CFG)
     out = str(tmp_path / "out.csv")
@@ -138,7 +179,9 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("y", dict(MATHIEU_CFG, y=[inf])),
             ("alpha", dict(MATHIEU_CFG, alpha=[-inf])),
             ("ladder", dict(MATHIEU_CFG, ladder={"min": 50.0, "max": inf,
-                                                 "count": 6}))]:
+                                                 "count": 6})),
+            # an integer past the float range has no float value
+            ("rho_n", dict(MATHIEU_CFG, rho_n=10**400))]:
         path = _write(tmp_path, bad, "nonfinite.json")
         assert main(["heat", "--config", path]) == 2, field
         assert "config error: " + field in capsys.readouterr().err, field

@@ -4,7 +4,7 @@ import sympy as sp
 from spectra_lab.errors import UnsupportedGenerators
 from spectra_lab.frequency import GeneratorBasis, freq
 from spectra_lab.heat import (TrigPotential, a_from_sigma, apply_H,
-                              closed_form_a, cosine_potential,
+                              at_point, closed_form_a, cosine_potential,
                               discrepancy_report, mean_a, sigma_j,
                               unit_ball_volume, weyl_constant, z_norm_power,
                               zero_potential)
@@ -51,7 +51,7 @@ def test_sigma_one_free():
 
 def test_closed_form_mathieu_exact():
     b = _mathieu()
-    a1 = closed_form_a(b, 1, [0])
+    a1 = at_point(closed_form_a(b, 1), [0])
     assert sp.simplify(a1 + 1 / sp.pi) == 0   # a_1(0) = -1/pi exactly
 
 

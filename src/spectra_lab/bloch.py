@@ -7,7 +7,7 @@ function is a quasimomentum integral of eigenvector data.
 Two quadratures are provided:
   * plain midpoint k-grid (any d, the baseline design), and
   * an edge-corrected d=1 mode that sums complete bands by midpoint and
-    resolves the Fermi-crossing band by a brentq root find plus Gauss
+    resolves the Fermi-crossing band by Brent's root finder plus Gauss
     quadrature.  The plain grid carries O(1/N_k) jitter from the sharp
     eigenvalue cut, which buries the lambda^{-3/2} residual signal.  Its
     complete-band midpoint is O(Nh^-2) on and off the diagonal (ROADMAP
@@ -54,6 +54,7 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -61,10 +62,10 @@ from typing import Mapping, Optional
 import numpy as np
 from scipy.linalg import (LinAlgError, eig_banded, eigh, eigh_tridiagonal,
                           solve_banded)
-from scipy.optimize import brentq
 
 from .errors import NonHermitianPotential, NonLatticeFrequencies, TruncationCeiling
 from .frequency import hermitian_violations
+from .roots import brent_root
 
 
 def lattice_fourier(b: Mapping, d: int) -> dict:
@@ -385,15 +386,19 @@ def _midpoint_d2(lams, x, y, four, M_cut, Nk):
 # interpolated shift, the second from the first's Rayleigh quotient
 _RQI_STEPS = 2
 
+# relative tolerance of the crossing point k*, 4 eps; its absolute one is 1e-13
+_KSTAR_RTOL = 4 * sys.float_info.epsilon
+
 
 class BlochOracle1D:
     """High-accuracy d=1 spectral function: complete bands by midpoint over the
     half Brillouin zone (doubled by k -> -k symmetry), the Fermi-crossing band
     by root-finding plus Gauss-Legendre quadrature.  The crossing point k*
-    is a brentq root of the band's eigenvalue by index; a crossing within
-    1e-12 of 0 or 1/2 makes the band empty or whole.  The Gauss-node
-    eigenvectors come from one batched, certified inverse iteration
-    (_node_vectors).  M_cut, Nh and gauss_nodes must be positive integers."""
+    is the shared Brent root finder's root (roots.brent_root) of the band's
+    eigenvalue by index; a crossing within 1e-12 of 0 or 1/2 makes the band
+    empty or whole.  The Gauss-node eigenvectors come from one batched,
+    certified inverse iteration (_node_vectors).  M_cut, Nh and gauss_nodes
+    must be positive integers."""
 
     def __init__(self, b, M_cut: int, Nh: int = 128, gauss_nodes: int = 48):
         _check_sizes(M_cut=M_cut, Nh=Nh, gauss_nodes=gauss_nodes)
@@ -477,7 +482,7 @@ class BlochOracle1D:
                 # counts as empty (above lam there) or whole (below it)
                 kstar = 0.0 if (f(lo) > 0) == increasing else 0.5
             else:
-                kstar = brentq(f, lo, hi, xtol=1e-13)
+                kstar = brent_root(f, lo, hi, xtol=1e-13, rtol=_KSTAR_RTOL)
             a, b = (0.0, kstar) if increasing else (kstar, 0.5)
             halfw = 0.5 * (b - a)
             nodes = 0.5 * (a + b) + halfw * self.gx

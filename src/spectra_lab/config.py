@@ -13,7 +13,8 @@ from typing import Optional
 
 from .errors import Malformed, NonHermitianPotential, UnsupportedDimension
 from .frequency import (FrequencySet, GeneratorBasis, freq,
-                        hermitian_violations, potential_frequencies)
+                        hermitian_violations, potential_frequencies,
+                        surd_supported)
 
 
 def _integer(v, lo=-math.inf) -> bool:
@@ -144,8 +145,9 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
 
     surd = raw.get("surd_D")
     if surd is not None:
-        if not _integer(surd, 1) or int(surd**0.5) ** 2 == surd:
-            violations.append("surd_D must be a positive non-square integer")
+        if not surd_supported(surd):
+            violations.append("surd_D must be a positive non-square integer "
+                              "with a finite float square root")
             surd = None
         elif command in ("bloch", "compare", "heat"):
             violations.append("command %r needs rational frequencies "

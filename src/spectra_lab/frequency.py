@@ -9,9 +9,10 @@ Q(sqrt(D)) so the answers are exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -20,17 +21,31 @@ from .errors import UnsupportedGenerators
 from .exactalg import QSurd, dot, nullspace, qs, rank, rref
 
 
+def surd_supported(D) -> bool:
+    """Whether sqrt(D) can be a generator: D a positive integer that is no
+    square (decided exactly by math.isqrt at any size) and whose square root
+    has a float view."""
+    if not isinstance(D, int) or isinstance(D, bool) or D <= 0:
+        return False
+    if math.isqrt(D) ** 2 == D:
+        return False
+    try:
+        math.sqrt(D)
+    except OverflowError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class GeneratorBasis:
     """Rational generators of the frequency module: 1 and optionally sqrt(D)."""
 
-    surd_D: Optional[int] = None  # positive non-square integer, or None
+    surd_D: Optional[int] = None  # see surd_supported, or None
 
     def __post_init__(self):
-        D = self.surd_D
-        if D is not None:
-            if D <= 0 or int(D**0.5) ** 2 == D:
-                raise UnsupportedGenerators("D must be a positive non-square integer")
+        if self.surd_D is not None and not surd_supported(self.surd_D):
+            raise UnsupportedGenerators("D must be a positive non-square integer "
+                                        "with a finite float square root")
 
     @property
     def D(self) -> int:
@@ -265,11 +280,14 @@ def _rational_relation_exists(vectors: Sequence[FrequencyVector]) -> bool:
     return len(nullspace(rows)) > 0
 
 
+@lru_cache(maxsize=None)
 def check_condition_A(S: FrequencySet, k_max: int):
     """Check Condition A on all d-tuples from the k_max-fold algebraic sum.
 
     Returns (True, None) on pass, (False, witness_tuple) on the first violation:
     a tuple that is really linearly dependent yet admits no integer relation.
+    Memoised per (S, k_max): S hashes by value, and every call with an equal
+    pair returns the same result object.
     """
     d = S.dimension
     big = algebraic_sum(S, k_max)

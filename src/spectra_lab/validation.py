@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (CoincidingPoints, ContourTooClose, DivergentSeries,
                      NonHermitianPotential)
 from .frequency import hermitian_violations
+from .roots import brent_root
 
 
 def weyl_constant(d: int) -> float:
@@ -383,7 +383,7 @@ def _crossing_points(fam: MatrixFamily, level: float, r_lo: float,
         if flo == 0.0:
             out.append(r_lo)
         elif flo * fhi < 0:
-            out.append(float(brentq(fj, r_lo, r_hi, xtol=1e-13, rtol=1e-15)))
+            out.append(brent_root(fj, r_lo, r_hi, xtol=1e-13, rtol=1e-15))
     return out
 
 

@@ -397,8 +397,8 @@ def _assert_nodes_match_index_solves(oracle):
 @pytest.fixture
 def fallbacks(monkeypatch):
     """The k of every eigenvector solved by index from here on: the crossing
-    point's brentq asks for values only, so these are the nodes whose
-    certificate failed."""
+    point's Brent root finder asks for values only, so these are the nodes
+    whose certificate failed."""
     import spectra_lab.bloch as bloch
 
     ks, solve = [], bloch._eig_banded_k
@@ -472,8 +472,8 @@ def test_node_certificate_rejects_other_band(fallbacks):
         _assert_nodes_match_index_solves(oracle)
 
 
-# b = 0.24 cos x: rungs one ulp and 1e-11 inside a band edge made brentq raise
-# "f(a) and f(b) must have different signs" at these bands
+# b = 0.24 cos x: rungs one ulp and 1e-11 inside a band edge made the Brent
+# root finder raise "f(a) and f(b) must have different signs" at these bands
 EDGE_TABLE = {(1,): 0.12, (-1,): 0.12}
 EDGE_BANDS = (5, 40, 80)
 

@@ -215,6 +215,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["heat", "zones"])
+def test_huge_surd_is_config_error(tmp_path, capsys, command):
+    """A surd_D past the float range exits 2 with a config error, not an
+    OverflowError traceback."""
+    path = _write(tmp_path, dict(MATHIEU_CFG, surd_D=10**400 + 1))
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "surd_D must be a positive non-square integer" in err
+    assert "Traceback" not in err
+
+
 def test_bloch_csv_format(tmp_path):
     cfgpath = _write(tmp_path, MATHIEU_CFG)
     out = str(tmp_path / "bloch.csv")

@@ -42,6 +42,19 @@ def test_generator_basis_rejects_square():
         GeneratorBasis(4)
 
 
+@pytest.mark.parametrize("D", [
+    (10**20 + 1) ** 2,   # a square that int(D**0.5) ** 2 misses
+    10**400 + 1,         # no float square root
+])
+def test_generator_basis_rejects_huge_D(D):
+    with pytest.raises(UnsupportedGenerators):
+        GeneratorBasis(D)
+
+
+def test_generator_basis_accepts_large_nonsquare():
+    assert GeneratorBasis((10**20 + 1) ** 2 + 1).D == (10**20 + 1) ** 2 + 1
+
+
 def test_algebraic_sum_d1(mathieu1d, rational_basis):
     S2 = algebraic_sum(mathieu1d, 2)
     want = {freq([v], rational_basis) for v in (-2, -1, 0, 1, 2)}
@@ -81,6 +94,32 @@ def test_condition_A_collinear_incommensurate():
 def test_condition_A_d1_always(mathieu1d):
     ok, _ = check_condition_A(mathieu1d, 4)
     assert ok
+
+
+def test_condition_A_memoised(monkeypatch, rational_basis):
+    """An equal (S, k_max) runs the exact ranks once: the second call, on an
+    equal but distinct S, does no rank work and returns the same object."""
+    import spectra_lab.frequency as frequency
+
+    # a set no other test checks, so the first call is not yet memoised
+    S, T = (FrequencySet.build(2, rational_basis, [
+        freq([3, 0], rational_basis), freq([1, 5], rational_basis)])
+        for _ in range(2))
+    assert S == T and S is not T
+    calls = []
+    real_rank = frequency.rank
+
+    def counted(rows):
+        calls.append(1)
+        return real_rank(rows)
+
+    monkeypatch.setattr(frequency, "rank", counted)
+    first = check_condition_A(S, 2)
+    assert calls
+    calls.clear()
+    again = check_condition_A(T, 2)
+    assert not calls
+    assert again is first and first == (True, None)
 
 
 def test_enumerate_subspaces(axes2d):

@@ -15,7 +15,7 @@ Two quadratures are provided:
     5.7e-11 and 6.6e-12 at x = y = 0 and lambda = 10, 30, 100 and 400, and
     by 2.0e-7 at (x, y) = (0.3, 1.3).
 
-A fiber is real whenever every Fourier coefficient is real (every even
+A fiber is real whenever lattice_fourier returns a real table (every even
 potential).  In d = 1 it is banded with half-bandwidth max |theta|, and
 LAPACK serves its solves by route:
   * every eigenpair below a cut (both midpoint grids, the oracle's grid and
@@ -34,7 +34,18 @@ LAPACK serves its solves by route:
     the band's edges (BlochOracle1D._node_vectors).
 BlochOracle1D keeps the grid eigenvectors and, per (band, lambda), the
 crossing point and the Gauss-node eigenvectors of the crossing band, so a
-later point x, y only forms amplitudes.  In d = 2, on the square
+later point x, y only forms amplitudes.  It keeps each eigenvector as its
+support window (_support_windows): the run of entries from the first to the
+last above tau = eps / (64 n), n = 2 M_cut + 1.  For a trigonometric
+polynomial b the Fourier components of a Bloch eigenvector decay faster than
+exponentially away from the few m with (k + m)^2 near its energy (Reed &
+Simon IV, XIII.16), so the windows are short: at most 22 of 441 entries on
+the grid of bhat(+-1) = 0.23, M_cut 220, lambda up to 1e4 (4.4 MB where the
+whole vectors took 92.6 MB), and at most 39 of 129 on bhat(+-1) = 0.15,
+bhat(+-2) = 0.05, M_cut 64, lambda up to 1e3.  Each entry dropped has
+magnitude at most tau, so an amplitude moves by less than eps / 64.
+
+In d = 2, on the square
 |m_1|, |m_2| <= M_cut, a table with every theta on an axis (b = b_1(x_1) +
 b_2(x_2), or b = 0) has the fiber H_1(k_1) (x) I + I (x) H_2(k_2) (Reed &
 Simon IV, XIII.16): each axis's d = 1 fiber is solved once per grid k, and
@@ -67,9 +78,11 @@ from .errors import NonHermitianPotential, NonLatticeFrequencies, TruncationCeil
 from .frequency import hermitian_violations
 from .roots import brent_root
 
+_EPS = np.finfo(float).eps
+
 
 def lattice_fourier(b: Mapping, d: int) -> dict:
-    """Normalize a potential to {integer coord tuple: complex coeff}.
+    """Normalize a potential to {integer coord tuple: coeff}.
 
     Accepts a mapping with tuple or FrequencyVector keys.  A theta whose
     coefficient is 0 is not a frequency of b and is dropped unchecked.
@@ -77,6 +90,14 @@ def lattice_fourier(b: Mapping, d: int) -> dict:
     then NonHermitianPotential unless b is real (`hermitian_violations`; the
     fibers read only theta > 0, so a non-real b would otherwise be made real
     without notice).
+
+    The table comes back real (float coefficients, so real fibers) when every
+    |Im c| <= eps |c|, eps the machine epsilon, and complex otherwise.  The
+    imaginary parts dropped move a fiber by at most eps sum |c| in the 1-norm,
+    inside the eps ||H||_1 rounding every fiber solve already carries
+    (BlochOracle1D._rounding); a real b shifted by s ~ 1e-300 would otherwise
+    build complex fibers with subnormal entries, on which the complex banded
+    solvers run about tenfold slower.
     """
     if not isinstance(b, Mapping):
         raise NonLatticeFrequencies("unsupported potential representation")
@@ -102,6 +123,8 @@ def lattice_fourier(b: Mapping, d: int) -> dict:
     bad = hermitian_violations(out)
     if bad:
         raise NonHermitianPotential(bad[0])
+    if all(abs(c.imag) <= _EPS * abs(c) for c in out.values()):
+        return {th: c.real for th, c in out.items()}
     return out
 
 
@@ -122,14 +145,13 @@ class BlochSpectrum:
 def _coupling(four: dict, M_cut: int, d: int):
     """The square index set (rows m_i of an int array, last coordinate
     fastest) and the k-independent part V[i, j] = bhat(m_i - m_j) of every
-    fiber on it; V is real when every coefficient is."""
+    fiber on it; V is real when the table is (lattice_fourier)."""
     marr = np.array(list(itertools.product(range(-M_cut, M_cut + 1), repeat=d)))
-    real = all(c.imag == 0 for c in four.values())
-    V = np.zeros((len(marr), len(marr)), dtype=float if real else complex)
+    V = np.zeros((len(marr), len(marr)), dtype=np.result_type(float, *four.values()))
     stride = (2 * M_cut + 1) ** np.arange(d - 1, -1, -1)
     for th, c in four.items():
         j = np.nonzero((np.abs(marr + th) <= M_cut).all(axis=1))[0]
-        V[j + stride @ th, j] = c.real if real else c
+        V[j + stride @ th, j] = c
     return marr, V
 
 
@@ -270,19 +292,18 @@ def _banded_rep(four: dict, M_cut: int):
 def _fiber_bands(k, ms: np.ndarray, four: dict, bw: int) -> np.ndarray:
     """The d = 1 fiber at each point of k (a float or an array) in lower band
     storage, ab[..., t, i] = H[i + t, i]: shape k.shape + (bw + 1, n), real
-    when every coefficient is.  Only the diagonal depends on k."""
+    when the table is (lattice_fourier).  Only the diagonal depends on k."""
     k = np.asarray(k, dtype=float)
     n = ms.size
-    real = all(c.imag == 0 for c in four.values())
-    ab = np.zeros(k.shape + (bw + 1, n), dtype=float if real else complex)
+    ab = np.zeros(k.shape + (bw + 1, n), dtype=np.result_type(float, *four.values()))
     ab[..., 0, :] = (k[..., None] + ms) ** 2
     for th, c in four.items():
         t = th[0]
         if t == 0:
-            ab[..., 0, :] += c.real if real else c
+            ab[..., 0, :] += c
         elif t > 0:
             # entry (m + t, m): lower band t; negative t is the Hermitian mirror
-            ab[..., t, : n - t] = c.real if real else c
+            ab[..., t, : n - t] = c
     return ab
 
 
@@ -314,6 +335,35 @@ def _wave_amp(vecs: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """sum_m e^{i phase_m} v_m per column, phase_m = <k + m, x>; real vectors
     stay real in the products."""
     return np.cos(phase) @ vecs + 1j * (np.sin(phase) @ vecs)
+
+
+# The most that an amplitude moves when an eigenvector is kept as its support
+# window: every entry dropped from an n-entry vector has magnitude at most
+# tau = _WINDOW_EPS / n, so sum_m v_m e^{i(k+m)x} moves by at most
+# (n - W) tau < eps / 64, below the rounding of the sum itself
+_WINDOW_EPS = _EPS / 64
+
+
+def _support_windows(v: np.ndarray):
+    """The columns of v (vectors over ms) as support windows: a start index
+    into ms per column and the entries V[j, c] = v[start_c + j, c], j < W.
+    W spans the widest run, over all columns, from a column's first to its
+    last entry above tau = _WINDOW_EPS / n; a start moves down where
+    start + W would pass the end, so a window holds only the column's own
+    entries.  Each of the n - W entries dropped has magnitude at most tau."""
+    n, cols = v.shape
+    big = np.abs(v) > _WINDOW_EPS / n
+    first = big.argmax(axis=0)
+    last = n - 1 - big[::-1].argmax(axis=0)
+    width = int((last - first).max(initial=0)) + 1
+    start = np.minimum(first, n - width)
+    return start, v[start + np.arange(width)[:, None], np.arange(cols)]
+
+
+def _window_amp(km0: np.ndarray, V: np.ndarray, x: float) -> np.ndarray:
+    """u(x) = sum_m v_m e^{i(k+m)x} per windowed column, as
+    e^{i(k+m0)x} sum_j V_j e^{ijx}; km0 = k + m0 per column, m0 = ms[start]."""
+    return np.exp(1j * km0 * x) * _wave_amp(V, np.arange(V.shape[0]) * x)
 
 
 def _fermi_sums(w: np.ndarray, contrib: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -397,8 +447,10 @@ class BlochOracle1D:
     is the shared Brent root finder's root (roots.brent_root) of the band's
     eigenvalue by index; a crossing within 1e-12 of 0 or 1/2 makes the band
     empty or whole.  The Gauss-node eigenvectors come from one batched,
-    certified inverse iteration (_node_vectors).  M_cut, Nh and gauss_nodes
-    must be positive integers."""
+    certified inverse iteration (_node_vectors).  Every eigenvector kept, on
+    the grid and at the Gauss nodes, is its support window
+    (_support_windows), and every amplitude is formed from the window
+    (_window_amp).  M_cut, Nh and gauss_nodes must be positive integers."""
 
     def __init__(self, b, M_cut: int, Nh: int = 128, gauss_nodes: int = 48):
         _check_sizes(M_cut=M_cut, Nh=Nh, gauss_nodes=gauss_nodes)
@@ -408,13 +460,13 @@ class BlochOracle1D:
         self.ms, self.bw = _banded_rep(self.four, M_cut)
         self.kgrid = (np.arange(Nh) + 0.5) / (2 * Nh)  # midpoints of (0, 1/2)
         self.gx, self.gw = np.polynomial.legendre.leggauss(gauss_nodes)
-        self._grid_spec = None   # lazily: per-k (energies, vectors)
+        self._grid_spec = None   # lazily: per-k (energies, window starts, windows)
         self._edges = None       # band energies at k=0 and k=1/2
         self._emax_cached = 0.0
-        self._crossing = {}      # (band, lambda) -> Gauss half-width, nodes, vectors
+        self._crossing = {}      # (band, lambda) -> Gauss half-width, nodes, windows
         # eps ||H||_1 bounded over every fiber (|k + m| <= M_cut + 1/2)
-        self._rounding = np.finfo(float).eps * ((M_cut + 0.5) ** 2
-                                                + sum(abs(c) for c in self.four.values()))
+        self._rounding = _EPS * ((M_cut + 0.5) ** 2
+                                 + sum(abs(c) for c in self.four.values()))
 
     def _ensure_spectra(self, emax: float):
         if self._grid_spec is not None and emax <= self._emax_cached:
@@ -423,12 +475,12 @@ class BlochOracle1D:
         self._grid_spec = []
         for k in self.kgrid:
             w, v = _eig_banded_k(float(k), self.ms, self.four, self.bw, emax=pad)
-            self._grid_spec.append((w, v))
+            self._grid_spec.append((w, *_support_windows(v)))
         e0, _ = _eig_banded_k(0.0, self.ms, self.four, self.bw, emax=pad,
                               vectors=False)
         eh, _ = _eig_banded_k(0.5, self.ms, self.four, self.bw, emax=pad,
                               vectors=False)
-        nb = min(e0.size, eh.size, min(w.size for w, _ in self._grid_spec))
+        nb = min(e0.size, eh.size, min(w.size for w, _, _ in self._grid_spec))
         self._edges = (e0[:nb], eh[:nb])
         self._nbands = nb
         self._emax_cached = emax
@@ -437,10 +489,10 @@ class BlochOracle1D:
         """w[n, i] = Re u_n(x) conj(u_n(y)) at grid k_i, truncated to nb bands."""
         nb = self._nbands
         out = np.empty((nb, self.Nh))
-        for i, (w, v) in enumerate(self._grid_spec):
-            k = float(self.kgrid[i])
-            ux = _wave_amp(v[:, :nb], (k + self.ms) * x)
-            uy = ux if y == x else _wave_amp(v[:, :nb], (k + self.ms) * y)
+        for i, (_, start, V) in enumerate(self._grid_spec):
+            km0 = self.kgrid[i] + self.ms[start[:nb]]
+            ux = _window_amp(km0, V[:, :nb], x)
+            uy = ux if y == x else _window_amp(km0, V[:, :nb], y)
             out[:, i] = (ux * np.conj(uy)).real
         return out
 
@@ -468,8 +520,9 @@ class BlochOracle1D:
 
     def _crossing_nodes(self, n: int, lam: float):
         """Band n's part of {E_n(k) <= lam} in (0, 1/2) as a Gauss rule: the
-        half-width, the nodes and the node eigenvectors (one row per node),
-        solved once per (band, lam) for every later x, y."""
+        half-width, the nodes and the node eigenvectors as support windows
+        (one column per node), solved once per (band, lam) for every later
+        x, y."""
         hit = self._crossing.get((n, lam))
         if hit is None:
             e0, eh = self._edges
@@ -490,14 +543,16 @@ class BlochOracle1D:
             hit = self._crossing[(n, lam)] = (halfw, nodes, vecs)
         return hit
 
-    def _node_vectors(self, n: int, nodes: np.ndarray) -> np.ndarray:
-        """Band n's eigenvectors at the nodes, one row per node.
+    def _node_vectors(self, n: int, nodes: np.ndarray):
+        """Band n's eigenvectors at the nodes as support windows
+        (_support_windows), one column per node.
 
         Rayleigh-quotient inverse iteration on every node at once: the
         shifted fibers H(k_j) - sigma_j are stacked into one block-diagonal
         band matrix, zero at the block seams, so each step is one banded
-        solve.  A node starts from band n's eigenvector at the nearest grid k,
-        with sigma interpolated from band n's grid energies and edges.
+        solve.  A node starts from band n's eigenvector at the nearest grid
+        k, its grid window padded with zeros to the whole of ms, with sigma
+        interpolated from band n's grid energies and edges.
 
         Each node is then certified, else solved by index.  Its residual
         r = ||Hv - Ev|| must be at most eps ||H||_1: converged vectors were
@@ -512,9 +567,12 @@ class BlochOracle1D:
         ab = _fiber_bands(nodes, ms, self.four, bw)
         e0, eh = self._edges
         grid = np.clip(np.rint(nodes * 2 * Nh - 0.5).astype(int), 0, Nh - 1)
-        vecs = np.array([self._grid_spec[i][1][:, n] for i in grid])
+        vecs = np.zeros((nodes.size, size), dtype=ab.dtype)
+        for row, i in zip(vecs, grid):
+            _, start, V = self._grid_spec[i]
+            row[start[n]:start[n] + V.shape[0]] = V[:, n]
         sigma = np.interp(nodes, np.r_[0.0, self.kgrid, 0.5],
-                          np.r_[e0[n], [w[n] for w, _ in self._grid_spec], eh[n]])
+                          np.r_[e0[n], [w[n] for w, _, _ in self._grid_spec], eh[n]])
         stacked = np.zeros((2 * bw + 1, nodes.size * size), dtype=ab.dtype)
         for t in range(1, bw + 1):
             stacked[bw + t] = ab[:, t].ravel()
@@ -540,15 +598,15 @@ class BlochOracle1D:
               & (sigma + res < hi - tol))
         for j in np.flatnonzero(~ok):
             vecs[j] = _eig_banded_k(float(nodes[j]), ms, self.four, bw, index=n)[1][:, 0]
-        return vecs
+        return _support_windows(vecs.T)
 
     def _crossing_band(self, n: int, lam: float, x: float, y: float) -> float:
-        halfw, nodes, vecs = self._crossing_nodes(n, lam)
+        halfw, nodes, windows = self._crossing_nodes(n, lam)
         if not halfw:
             return 0.0
-        amp = lambda p: np.einsum("ij,ij->i",
-                                  np.exp(1j * (nodes[:, None] + self.ms) * p), vecs)
-        ux = amp(x)
-        uy = ux if y == x else amp(y)
+        start, V = windows
+        km0 = nodes + self.ms[start]
+        ux = _window_amp(km0, V, x)
+        uy = ux if y == x else _window_amp(km0, V, y)
         vals = (ux * np.conj(uy)).real
         return float(halfw * (self.gw * vals).sum())

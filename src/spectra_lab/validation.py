@@ -304,6 +304,14 @@ def check_projection_perturbation(n: int, s: int, eps: float, trials: int,
 # -- contour identity ------------------------------------------------------------
 
 
+def _power(z, k: int):
+    """z**k at one node, or at each node of a 1-D z the scalar power z_j**k,
+    shaped (N, 1, 1) to scale one matrix per node."""
+    if np.ndim(z) == 0:
+        return z**k
+    return np.array([zj**k for zj in z])[:, None, None]
+
+
 @dataclass(frozen=True)
 class MatrixFamily:
     """Polynomial Hermitian family S(r) = sum_k S_k r^k with H_2(r) = r^2 I + S(r)."""
@@ -328,13 +336,18 @@ class MatrixFamily:
         return self.coeffs[0].shape[0]
 
     def S(self, z):
-        acc = np.zeros_like(np.asarray(self.coeffs[0], dtype=complex))
+        """S(z) at one node z, or stacked (N, n, n) at each node of a 1-D
+        array.  A stacked node takes its powers as the scalar z_j**k (the
+        array power z**k rounds differently), so it gets the same bits as
+        its own call."""
+        acc = np.zeros(np.shape(z) + (self.size, self.size), dtype=complex)
         for k, C in enumerate(self.coeffs):
-            acc = acc + np.asarray(C, dtype=complex) * z**k
+            acc = acc + np.asarray(C, dtype=complex) * _power(z, k)
         return acc
 
     def H2(self, z):
-        return z**2 * np.eye(self.size, dtype=complex) + self.S(z)
+        """H_2(z) at one node, or stacked at each node of a 1-D array (S)."""
+        return _power(z, 2) * np.eye(self.size, dtype=complex) + self.S(z)
 
     def s_norm_bound(self, r_hi: float) -> float:
         return sum(np.linalg.norm(C, 2) * r_hi**k
@@ -460,7 +473,7 @@ def check_contour_identity(fam: MatrixFamily, interval: Sequence[float],
         if right - left < 1e-14:
             continue
         nodes, weights = _gauss_nodes(left, right, quad.n_r)
-        evs, Vs = np.linalg.eigh(np.array([fam.H2(r) for r in nodes]))
+        evs, Vs = np.linalg.eigh(fam.H2(nodes))
         for r, wt, ev, V in zip(nodes, weights, evs, Vs):
             sel = (ev >= lam_lo) & (ev <= lam_hi)
             if not sel.any():
@@ -477,7 +490,7 @@ def check_contour_identity(fam: MatrixFamily, interval: Sequence[float],
     dz = 1j * radius * np.exp(1j * phis) * (2.0 * math.pi / quad.n_contour)
 
     mu_nodes, mu_weights = _gauss_nodes(lam_lo, lam_hi, quad.n_mu)
-    Hs = np.array([fam.H2(z) for z in zs])
+    Hs = fam.H2(zs)
     fs = np.array([np.asarray(f(z), dtype=complex) for z in zs])
     gconj = np.conj([np.asarray(g(np.conj(z)), dtype=complex) for z in zs])
     # the Weyl bound's parts, one svd per z; S(z) is taken as H_2(z) - z^2 I,

@@ -2,17 +2,19 @@ import itertools
 import json
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectra_lab.bloch import (BlochOracle1D, _banded_rep, _eig_banded_k,
-                               _fermi_sums, build_fiber, fiber_spectrum,
-                               free_lds_d1, free_lds_d2, lattice_fourier,
-                               spectral_function)
+from spectra_lab.bloch import (_WINDOW_EPS, BlochOracle1D, _banded_rep,
+                               _eig_banded_k, _fermi_sums, _support_windows,
+                               _wave_amp, _window_amp, build_fiber,
+                               fiber_spectrum, free_lds_d1, free_lds_d2,
+                               lattice_fourier, spectral_function)
 from spectra_lab.errors import (NonHermitianPotential, NonLatticeFrequencies,
                                 TruncationCeiling)
 from spectra_lab.frequency import GeneratorBasis, freq
@@ -44,6 +46,15 @@ def test_lattice_fourier_normalization():
     # a complex Hermitian pair passes unchanged
     four = lattice_fourier({(1,): 0.3 + 0.1j, (-1,): 0.3 - 0.1j}, 1)
     assert four == {(1,): 0.3 + 0.1j, (-1,): 0.3 - 0.1j}
+    # imaginary parts within eps |c| everywhere make the table real; one
+    # larger part anywhere keeps every coefficient complex
+    tiny = {(1,): 0.3 + 1e-301j, (-1,): 0.3 - 1e-301j, (2,): 0.1 + 1e-17j,
+            (-2,): 0.1 - 1e-17j}
+    four = lattice_fourier(tiny, 1)
+    assert four == {(1,): 0.3, (-1,): 0.3, (2,): 0.1, (-2,): 0.1}
+    assert all(type(c) is float for c in four.values())
+    four = lattice_fourier({**tiny, (2,): 0.1 + 1e-16j, (-2,): 0.1 - 1e-16j}, 1)
+    assert all(type(c) is complex for c in four.values())
 
 
 def test_fiber_free_diagonal():
@@ -195,13 +206,16 @@ def _shifted(b, s):
 @settings(max_examples=3, deadline=None)
 @given(st.floats(0.01, 2 * math.pi), st.floats(0.0, 2 * math.pi),
        st.floats(0.0, 2 * math.pi))
+@example(s=1e-300, x1=0.3, x2=2.0)
+@example(s=1e-310, x1=0.3, x2=2.0)
 def test_translation_covariance(cos12_oracle, s, x1, x2):
     """e^{b_s}_lambda(x, x) = e^b_lambda(x + s, x + s), through the oracle
     and the midpoint path, with complex Hermitian coefficients.  b is
-    2pi-periodic, so s in (0, 2pi] covers every shift; s is kept away from 0
-    because near-underflow imaginary parts slow the complex banded solvers
-    about fifteenfold (one shifted oracle on COS12_LAMS: 2.06 s at s = 1e-300
-    against 0.14 s at s = 0.7)."""
+    2pi-periodic, so s in (0, 2pi] covers every shift.  At s = 1e-300 and
+    1e-310 each imaginary part is within eps |c|, so lattice_fourier makes
+    the table real; complex fibers with subnormal entries once made one
+    shifted oracle on COS12_LAMS about tenfold slower (0.74 s at s = 1e-300
+    against 0.067 s at s = 0.7)."""
     shifted = BlochOracle1D(_shifted(COS12, s), M_cut=40)
     for x in (x1, x2):
         want = cos12_oracle.evaluate(COS12_LAMS, x + s)
@@ -377,19 +391,28 @@ def test_eig_banded_routes_match_dense(table, k, M_cut, where):
 def _per_node(oracle):
     """The oracle with every Gauss-node vector solved by index, one LAPACK
     call per node: the route the batched inverse iteration replaced."""
-    oracle._node_vectors = lambda n, nodes: np.array(
+    oracle._node_vectors = lambda n, nodes: _support_windows(np.array(
         [_eig_banded_k(float(k), oracle.ms, oracle.four, oracle.bw, index=n)[1][:, 0]
-         for k in nodes])
+         for k in nodes]).T)
     return oracle
+
+
+def _padded(start, V, size):
+    """Support windows back as whole vectors over ms, one column each, zero
+    outside each window."""
+    out = np.zeros((size, V.shape[1]), dtype=V.dtype)
+    for c, s in enumerate(start):
+        out[s:s + V.shape[0], c] = V[:, c]
+    return out
 
 
 def _assert_nodes_match_index_solves(oracle):
     """Every kept crossing-band node vector is the eigenvector that the solve
     by index gives, up to phase."""
-    for (n, lam), (halfw, nodes, vecs) in oracle._crossing.items():
+    for (n, lam), (halfw, nodes, windows) in oracle._crossing.items():
         if not halfw:
             continue
-        for k, v in zip(nodes, vecs):
+        for k, v in zip(nodes, _padded(*windows, oracle.ms.size).T):
             ref = _eig_banded_k(float(k), oracle.ms, oracle.four, oracle.bw, index=n)[1][:, 0]
             assert abs(np.vdot(ref, v)) >= 1 - 1e-12, (n, lam, k)
 
@@ -464,12 +487,85 @@ def test_node_certificate_rejects_other_band(fallbacks):
     for lam, other in itertools.product((150.0, lo + 1e-7), (n - 1, n + 1)):
         cols = np.arange(oracle._nbands)
         cols[n] = other
-        oracle._grid_spec = [(w[cols], v[:, cols]) for w, v in grid]
+        oracle._grid_spec = [(w[cols], start[cols], V[:, cols]) for w, start, V in grid]
         oracle._crossing.clear()
         fallbacks.clear()
         halfw, nodes, vecs = oracle._crossing_nodes(n, lam)
         assert len(fallbacks) >= nodes.size // 2, (lam, other, len(fallbacks))
         _assert_nodes_match_index_solves(oracle)
+
+
+# -- eigenvectors kept as support windows --------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(banded_tables(1.5), FIBER_K, st.integers(4, 120), POINT)
+def test_window_amplitude_matches_whole_vector(table, k, M_cut, x):
+    """The amplitude of every eigenvector kept as its support window against
+    the whole vector's: within (n - W) tau, tau = _WINDOW_EPS / n, plus the
+    rounding of the two sums.  Each sum of n terms rounds by at most
+    n eps sum |v_m| (1 + |(k + m) x|) here: a phase (k + m) x carries its
+    own rounding into the cosine and sine."""
+    four = lattice_fourier(table, 1)
+    ms, bw = _banded_rep(four, M_cut)
+    n = ms.size
+    _, v = _eig_banded_k(k, ms, four, bw)
+    start, V = _support_windows(v)
+    assert V.shape[0] <= n and (start >= 0).all() and (start + V.shape[0] <= n).all()
+    dropped = v - _padded(start, V, n)
+    assert np.abs(dropped).max() <= _WINDOW_EPS / n
+    got = _window_amp(k + ms[start], V, x)
+    want = _wave_amp(v, (k + ms) * x)
+    eps = np.finfo(float).eps
+    rounding = n * eps * (np.abs(v) * (1 + np.abs((k + ms) * x))[:, None]).sum(axis=0)
+    assert (np.abs(got - want) <= (n - V.shape[0]) * _WINDOW_EPS / n + rounding).all()
+
+
+def test_oracle_holds_windows_not_vectors():
+    """After one evaluate at lambda = 1e4 on bhat(+-1) = 0.23 at M_cut 220
+    (perfbench oracle_ladder's tridiagonal fiber at seed 31337), the oracle
+    holds its grid and crossing-band windows: 4.9 MB measured, where the
+    whole grid eigenvectors held 93.0 MB."""
+    tracemalloc.start()
+    try:
+        oracle = BlochOracle1D({(1,): 0.23, (-1,): 0.23}, M_cut=220)
+        oracle.evaluate([1e4], 0.0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 15e6, held
+
+
+# oracle_ladder's inputs: tridiagonal fibers at M_cut 220 on [1e2, 1e4] and
+# pentadiagonal ones at M_cut 64 on [1e2, 1e3] (perfbench seeds 31337, 7919
+# and 11), then b = 2 cos x at M_cut 60 and b = 0.24 cos x at low rungs,
+# where whole vectors sent one node and three nodes near k = 1/2 to the solve
+# by index
+WINDOW_CASES = [
+    ({1: 0.23}, 220, (1e2, 1e4, 24), []),
+    ({1: 0.18}, 220, (1e2, 1e4, 24), []),
+    ({1: 0.12}, 220, (1e2, 1e4, 24), []),
+    ({1: 0.15, 2: 0.05}, 64, (1e2, 1e3, 12), []),
+    ({1: 0.19, 2: 0.12}, 64, (1e2, 1e3, 12), []),
+    ({1: 0.12, 2: 0.13}, 64, (1e2, 1e3, 12), []),
+    ({1: 1.0}, 60, (10.0, 800.0, 12), [9.46839076977346e-05]),
+    ({1: 0.12}, 220, (3.0, 30.0, 12),
+     [0.4992517859243874, 0.49985787107316965, 0.4997403043781765]),
+]
+
+
+@pytest.mark.parametrize("half, M_cut, ladder, want", WINDOW_CASES)
+def test_windowed_starts_fall_back_as_whole_vectors(fallbacks, half, M_cut,
+                                                    ladder, want):
+    """Starting inverse iteration from a grid window padded with zeros sends
+    the same Gauss nodes to the solve by index as starting from the whole
+    grid eigenvector did, at x = 0, pi/2, pi and (0.3, 1.3)."""
+    table = {(s * t,): c for t, c in half.items() for s in (1, -1)}
+    oracle = BlochOracle1D(table, M_cut=M_cut)
+    lams = np.geomspace(*ladder)
+    for x, y in ((0.0, 0.0), (math.pi / 2, math.pi / 2), (math.pi, math.pi), (0.3, 1.3)):
+        oracle.evaluate(lams, x, y)
+    assert fallbacks == want
 
 
 # b = 0.24 cos x: rungs one ulp and 1e-11 inside a band edge made the Brent

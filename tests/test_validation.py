@@ -303,6 +303,18 @@ def test_matrix_family_requires_square_coefficients_of_one_size(coeffs):
         MatrixFamily(coeffs)
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_matrix_family_stacked_nodes_bit_identical(degree):
+    """S and H_2 stacked over real Gauss nodes and complex contour nodes give
+    each node the bits of its own call."""
+    fam = random_family(4, degree, seed=degree)
+    r_nodes = np.polynomial.legendre.leggauss(64)[0] + 2.0
+    z_nodes = 2.0 + 1.3 * np.exp(2j * math.pi * np.arange(256) / 256)
+    for nodes in (r_nodes, z_nodes):
+        assert np.array_equal(fam.S(nodes), [fam.S(z) for z in nodes])
+        assert np.array_equal(fam.H2(nodes), [fam.H2(z) for z in nodes])
+
+
 def test_diagonal_growth():
     lam = np.geomspace(10.0, 1000.0, 12)
     vals = weyl_constant(1) * np.sqrt(lam)

@@ -5,7 +5,7 @@ diagonalized fiber-wise over the Brillouin zone [-1/2, 1/2)^d; the spectral
 function is a quasimomentum integral of eigenvector data.
 
 Two quadratures are provided:
-  * plain midpoint k-grid (any d, the baseline design), and
+  * plain midpoint k-grid (d = 1, 2, the baseline design), and
   * an edge-corrected d=1 mode that sums complete bands by midpoint and
     resolves the Fermi-crossing band by Brent's root finder plus Gauss
     quadrature.  The plain grid carries O(1/N_k) jitter from the sharp
@@ -45,18 +45,22 @@ whole vectors took 92.6 MB), and at most 39 of 129 on bhat(+-1) = 0.15,
 bhat(+-2) = 0.05, M_cut 64, lambda up to 1e3.  Each entry dropped has
 magnitude at most tau, so an amplitude moves by less than eps / 64.
 
-In d = 2, on the square
-|m_1|, |m_2| <= M_cut, a table with every theta on an axis (b = b_1(x_1) +
-b_2(x_2), or b = 0) has the fiber H_1(k_1) (x) I + I (x) H_2(k_2) (Reed &
-Simon IV, XIII.16): each axis's d = 1 fiber is solved once per grid k, and
-the energies E_1 + E_2 carry the amplitudes u_1(x_1) u_2(x_2).  An off-axis
-theta such as +-(1, 1) makes the fiber dense: the coupling bhat(m_i - m_j)
-is built once per call, each k adds |k + m|^2 on its diagonal, and only the
-eigenpairs below the cut are solved (LAPACK syevr / heevr).
+The plain midpoint has one path for every table with each theta on an axis
+(b = b_1(x_1) + ... + b_d(x_d): every d = 1 table, the axis tables of d = 2,
+and b = 0).  On the square |m_i| <= M_cut such a table has the fiber
+H_1(k_1) (x) I + I (x) H_2(k_2) (Reed & Simon IV, XIII.16), so each axis's
+d = 1 fiber is solved once per grid k it needs, and the energies E_1 + E_2
+carry the amplitudes u_1(x_1) u_2(x_2); d = 1 is the one-axis case
+(_midpoint_separable).  An off-axis theta such as +-(1, 1) makes the d = 2
+fiber dense: the coupling bhat(m_i - m_j) is built once per call, each k
+adds |k + m|^2 on its diagonal, and only the eigenpairs below the cut are
+solved (LAPACK syevr / heevr).
 
-For real b, E(-k) = E(k) and u_{-k} = conj u_k, so both midpoint grids solve
-half the k-points, each standing for itself and -k; an odd grid's k = 0 is
-its own partner and counts once.
+For real b, E(-k) = E(k) and u_{-k} = conj u_k, so the midpoint sums run
+over half the grid, each point standing for itself and -k; an odd grid's
+k = 0 is its own partner and counts once.  An axis solves only the k that
+this half grid reaches: the half grid in d = 1, about half of the first
+axis's k in d = 2.
 """
 
 from __future__ import annotations
@@ -135,13 +139,6 @@ class FiberMatrix:
     matrix: np.ndarray     # dense Hermitian
 
 
-@dataclass
-class BlochSpectrum:
-    k: np.ndarray
-    energies: np.ndarray   # ascending
-    vectors: np.ndarray    # columns, unit-normalized
-
-
 def _coupling(four: dict, M_cut: int, d: int):
     """The square index set (rows m_i of an int array, last coordinate
     fastest) and the k-independent part V[i, j] = bhat(m_i - m_j) of every
@@ -162,11 +159,6 @@ def build_fiber(k, b, M_cut: int, d: Optional[int] = None) -> FiberMatrix:
     marr, M = _coupling(lattice_fourier(b, d), M_cut, d)
     M[np.diag_indices_from(M)] += ((k + marr) ** 2).sum(axis=1)
     return FiberMatrix(k=k, indices=[tuple(m) for m in marr.tolist()], matrix=M)
-
-
-def fiber_spectrum(fiber: FiberMatrix) -> BlochSpectrum:
-    w, v = eigh(fiber.matrix)
-    return BlochSpectrum(k=fiber.k, energies=w, vectors=v)
 
 
 def _check_ceiling(lam_max: float, M_cut: int):
@@ -196,17 +188,22 @@ def _paired_grid(Nk: int, d: int):
 
 
 def free_lds_d1(lams: np.ndarray, Nk: int) -> np.ndarray:
-    """Plain-midpoint N(lambda; x) for b=0, d=1, by exact integer counting."""
+    """Plain-midpoint N(lambda; x) for b=0, d=1, by exact integer counting;
+    no state lies below 0."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     ks = _midpoint_grid(Nk)
-    out = np.empty(lams.shape)
+    out = np.zeros(lams.shape)
     for i, lam in enumerate(lams):
+        if lam < 0:
+            continue
         r = math.sqrt(lam)
         # m in [-r - k, r - k]; average the <= and < conventions
         lo = np.ceil(-r - ks)
         hi = np.floor(r - ks)
         cnt = hi - lo + 1.0
         cnt_strict = np.floor(np.nextafter(r, 0.0) - ks) - np.ceil(np.nextafter(-r, 0.0) - ks) + 1.0
+        if r == 0:  # no |k + m| < 0; cnt_strict counted an odd grid's k + m = 0
+            cnt_strict[:] = 0.0
         out[i] = 0.5 * (cnt.sum() + cnt_strict.sum()) / Nk / (2 * math.pi)
     return out
 
@@ -276,10 +273,12 @@ def spectral_function(lam, x, y, b, M_cut: int, Nk: int, d: int = 1):
     four = lattice_fourier(b, d)
     if not four and np.array_equal(x, y):
         vals = free_lds_d1(lams, Nk) if d == 1 else free_lds_d2(lams, Nk)
-    elif d == 1:
-        vals = _midpoint_d1(lams, x, y, four, M_cut, Nk)
     else:
-        vals = _midpoint_d2(lams, x, y, four, M_cut, Nk)
+        emax = float(lams.max()) * 1.0000001 + 1.0
+        # b = b_1(x_1) + ... + b_d(x_d), every d = 1 table and b = 0 included
+        separable = all(sum(map(bool, th)) <= 1 for th in four)
+        midpoint = _midpoint_separable if separable else _midpoint_dense
+        vals = midpoint(lams, x, y, four, M_cut, Nk, emax) / Nk**d / (2 * math.pi) ** d
     return vals if np.ndim(lam) else float(vals[0])
 
 
@@ -377,57 +376,55 @@ def _fermi_sums(w: np.ndarray, contrib: np.ndarray, lams: np.ndarray) -> np.ndar
     return csum[n_le] + csum[n_lt]
 
 
-def _fiber_d1(k, ms, four, bw, emax, x, y):
-    """The d = 1 fiber at k: energies up to emax, amplitudes at x and at y."""
-    w, v = _eig_banded_k(k, ms, four, bw, emax=emax)
-    ux = _wave_amp(v, (k + ms) * x)
-    return w, ux, (ux if y == x else _wave_amp(v, (k + ms) * y))
-
-
-def _midpoint_d1(lams, x, y, four, M_cut, Nk):
-    ms, bw = _banded_rep(four, M_cut)
-    emax = float(lams.max()) * 1.0000001 + 1.0
+def _midpoint_separable(lams, x, y, four, M_cut, Nk, emax):
+    """The paired midpoint sum of a table with every theta on an axis, as the
+    Kronecker sum of the d axis fibers; d = 1 is its one-axis case."""
+    d = len(x)
+    tabs = [{} for _ in range(d)]  # axis a: the thetas along it; axis 0: bhat(0)
+    for th, c in four.items():
+        a = next((i for i, t in enumerate(th) if t), 0)
+        tabs[a][(th[a],)] = c
+    # no axis-a energy is below lo[a] (Gershgorin), so keep E_a <= emax - the other lo
+    lo = [sum(c.real if t == (0,) else -abs(c) for t, c in tab.items())
+          for tab in tabs]
+    _, wts = _paired_grid(Nk, d)
+    first, grid = Nk**d - len(wts), _midpoint_grid(Nk)
+    axes = [{} for _ in range(d)]  # axis a: grid index -> (energies, u(x) conj u(y))
+    for a, tab in enumerate(tabs):
+        ms, bw = _banded_rep(tab, M_cut)
+        emax_a = emax - sum(lo[:a] + lo[a + 1:])
+        # point p has axis-a index p // Nk^(d-1-a) % Nk: the half grid
+        # p >= first reaches axis 0 from first // Nk^(d-1), any other axis whole
+        for i in range(first // Nk ** (d - 1) if a == 0 else 0, Nk):
+            w, v = _eig_banded_k(grid[i], ms, tab, bw, emax=emax_a)
+            ux = _wave_amp(v, (grid[i] + ms) * x[a])
+            uy = ux if y[a] == x[a] else _wave_amp(v, (grid[i] + ms) * y[a])
+            axes[a][i] = (w, ux * np.conj(uy))
     acc = np.zeros(lams.shape)
-    for (k,), wt in zip(*_paired_grid(Nk, 1)):
-        w, ux, uy = _fiber_d1(k, ms, four, bw, emax, x[0], y[0])
+    for p, wt in enumerate(wts, first):
+        ws, cs = zip(*(axes[a][p // Nk ** (d - 1 - a) % Nk] for a in range(d)))
+        acc += wt * _fermi_sums(functools.reduce(np.add.outer, ws).ravel(),
+                                functools.reduce(np.outer, cs).real.ravel(), lams)
+    return acc
+
+
+def _midpoint_dense(lams, x, y, four, M_cut, Nk, emax):
+    """The paired midpoint sum with an off-axis theta, which couples the
+    axes: one dense fiber per k."""
+    d = len(x)
+    acc = np.zeros(lams.shape)
+    marr, V = _coupling(four, M_cut, d)
+    ii = np.diag_indices_from(V)
+    diag = np.array_equal(x, y)
+    for k, wt in zip(*_paired_grid(Nk, d)):
+        M = V.copy()
+        M[ii] += ((k + marr) ** 2).sum(axis=1)
+        w, v = eigh(M, overwrite_a=True, check_finite=False,
+                    subset_by_value=(-np.inf, emax), driver="evr")
+        ux = _wave_amp(v, (k + marr) @ x)
+        uy = ux if diag else _wave_amp(v, (k + marr) @ y)
         acc += wt * _fermi_sums(w, (ux * np.conj(uy)).real, lams)
-    return acc / Nk / (2 * math.pi)
-
-
-def _midpoint_d2(lams, x, y, four, M_cut, Nk):
-    emax = float(lams.max()) * 1.0000001 + 1.0
-    acc = np.zeros(lams.shape)
-    half, wts = _paired_grid(Nk, 2)
-    if all(0 in th for th in four):  # b = b1(x1) + b2(x2), b = 0 included
-        tabs = ({(t1,): c for (t1, t2), c in four.items() if t2 == 0},
-                {(t2,): c for (t1, t2), c in four.items() if t1 == 0 != t2})
-        # no axis-a energy is below lo[a] (Gershgorin), so keep E_a <= emax - lo[1 - a]
-        lo = [sum(c.real if t == (0,) else -abs(c) for t, c in tab.items())
-              for tab in tabs]
-        axes = []
-        for a, tab in enumerate(tabs):
-            ms, bw = _banded_rep(tab, M_cut)
-            fibers = [_fiber_d1(k, ms, tab, bw, emax - lo[1 - a], x[a], y[a])
-                      for k in _midpoint_grid(Nk)]
-            axes.append([(w, ux * np.conj(uy)) for w, ux, uy in fibers])
-        # point p of the lexicographic grid is (grid[p // Nk], grid[p % Nk])
-        for p, wt in enumerate(wts, Nk * Nk - len(wts)):
-            (w1, c1), (w2, c2) = axes[0][p // Nk], axes[1][p % Nk]
-            acc += wt * _fermi_sums(np.add.outer(w1, w2).ravel(),
-                                    np.outer(c1, c2).real.ravel(), lams)
-    else:  # an off-axis theta couples the axes: one dense fiber per k
-        marr, V = _coupling(four, M_cut, 2)
-        ii = np.diag_indices_from(V)
-        diag = np.array_equal(x, y)
-        for k, wt in zip(half, wts):
-            M = V.copy()
-            M[ii] += ((k + marr) ** 2).sum(axis=1)
-            w, v = eigh(M, overwrite_a=True, check_finite=False,
-                        subset_by_value=(-np.inf, emax), driver="evr")
-            ux = _wave_amp(v, (k + marr) @ x)
-            uy = ux if diag else _wave_amp(v, (k + marr) @ y)
-            acc += wt * _fermi_sums(w, (ux * np.conj(uy)).real, lams)
-    return acc / Nk**2 / (2 * math.pi) ** 2
+    return acc
 
 
 # -- edge-corrected d=1 oracle ---------------------------------------------------

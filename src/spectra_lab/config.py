@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -104,10 +105,14 @@ def parse_config(path: str, command: Optional[str] = None,
     not just the first.  `overrides` (the CLI's --seed and --out) replace
     keys of the file before validation, so they obey the same rules."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise Malformed(["config file not found: %s" % path])
+    except OSError as e:
+        raise Malformed(["cannot read config file %s: %s" % (path, e.strerror)])
+    except UnicodeDecodeError as e:
+        raise Malformed(["config file is not UTF-8: %s" % e])
     except json.JSONDecodeError as e:
         raise Malformed(["invalid JSON: %s" % e])
     if not isinstance(raw, dict):
@@ -251,8 +256,10 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
     samples = setting("samples", positive, "samples must be a positive integer")
     seed = setting("seed", functools.partial(_integer, lo=0),
                    "seed must be a non-negative integer")
-    out = setting("out", lambda v: v is None or isinstance(v, str),
-                  "out must be a path string")
+    out = setting("out", lambda v: v is None or (
+                      isinstance(v, str) and not os.path.isdir(v)
+                      and os.path.isdir(os.path.dirname(v) or ".")),
+                  "out must be a path string naming a file in an existing directory")
 
     all_violations = violations + hermitian + dimension_violations
     if all_violations:

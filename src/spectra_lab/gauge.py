@@ -221,11 +221,7 @@ def run_gauge(b: Symbol, ktilde: int, cf: CutoffFamily, S: FrequencySet,
                 for th, parts in w_parts.items()})
 
     diagnostics = {
-        "convention": "H1 = exp(-i Psi) H exp(+i Psi); psi_1 = i bhat chi",
-        "ktilde": ktilde,
-        "rho_n": cf.rho_n,
-        "beta": cf.beta,
-    }
+        "convention": "H1 = exp(-i Psi) H exp(+i Psi); psi_1 = i bhat chi"}
     if norm_grid is not None:
         ladder = []
         for j, p in enumerate(psis, start=1):
@@ -239,10 +235,14 @@ def run_gauge(b: Symbol, ktilde: int, cf: CutoffFamily, S: FrequencySet,
     return GaugeOutput(psi=psis, w=w, diagnostics=diagnostics)
 
 
-def verify_b3(out: GaugeOutput, samples: np.ndarray, S: FrequencySet, zp,
-              tol: float = 1e-12) -> dict:
-    """Check hat w(theta, xi) = 0 whenever xi is sampled (from the annulus A)
-    and xi or xi+theta leaves the slab Lambda(theta); theta = 0 is exempt."""
+# the largest |hat w| that verify_b3 takes for 0
+B3_TOL = 1e-12
+
+
+def verify_b3(out: GaugeOutput, samples: np.ndarray, S: FrequencySet, zp) -> dict:
+    """Check hat w(theta, xi) = 0, to B3_TOL, whenever xi is sampled (from the
+    annulus A) and xi or xi+theta leaves the slab Lambda(theta); theta = 0 is
+    exempt."""
     samples = np.asarray(samples, dtype=float)
     L1 = zp.L(1)
     violations = []
@@ -259,11 +259,11 @@ def verify_b3(out: GaugeOutput, samples: np.ndarray, S: FrequencySet, zp,
             continue
         vals = np.abs(ex.eval(samples[mask]))
         checked += int(mask.sum())
-        bad = vals > tol
+        bad = vals > B3_TOL
         if bad.any():
             idx = np.where(mask)[0][bad]
             for i, v in zip(idx, vals[bad]):
                 violations.append({"theta": tuple(t), "xi": tuple(samples[i]),
                                    "abs_w": float(v)})
     return {"checked": checked, "violations": violations,
-            "passed": not violations, "tol": tol}
+            "passed": not violations, "tol": B3_TOL}

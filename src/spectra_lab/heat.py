@@ -2,7 +2,9 @@
 trigonometric-polynomial potentials, computed exactly.
 
 Two routes are provided: the verbatim k-sum for sigma_j (with exact
-half-integer Gamma factors) and the closed forms for a_1, a_2.  The two
+half-integer Gamma factors) and the closed forms for a_1, a_2.  The k-sum's
+terms, |x - y|^{2k} and H_y applied to it, are plain sympy expressions over
+the joint (x, y) variables (z_norm_power, apply_H).  The two
 disagree on normalization for j >= 1 (the verbatim sigma_1 comes out as
 -2b/(d+2) instead of -b); both values are reported and the closed forms are
 what the spectral oracle reproduces.
@@ -55,12 +57,6 @@ class TrigPotential:
             acc += c * sp.exp(sp.I * phase)
         return sp.expand(acc)
 
-    def mean(self) -> sp.Expr:
-        for th, c in self.fourier:
-            if all(t == 0 for t in th):
-                return c
-        return sp.Integer(0)
-
 
 def zero_potential(d: int) -> TrigPotential:
     return TrigPotential.build(d, {})
@@ -73,32 +69,19 @@ def cosine_potential(d: int, amplitude=1, axis: int = 0) -> TrigPotential:
     return TrigPotential.build(d, {plus: amplitude, minus: amplitude})
 
 
-@dataclass(frozen=True)
-class TermAlgebraElement:
-    """Expression in z = x - y and derivatives of b(y), realized as an exact
-    sympy expression over the joint (x, y) variables."""
-
-    dimension: int
-    expr: sp.Expr
-
-    def at_diagonal(self) -> sp.Expr:
-        xs, ys = _xy_vars(self.dimension)
-        return sp.expand(self.expr.subs(dict(zip(ys, xs))))
-
-
-def z_norm_power(d: int, k: int) -> TermAlgebraElement:
-    """|x - y|^{2k}."""
+def z_norm_power(d: int, k: int) -> sp.Expr:
+    """|x - y|^{2k} over the joint (x, y) variables."""
     xs, ys = _xy_vars(d)
     q = sum((xs[i] - ys[i]) ** 2 for i in range(d))
-    return TermAlgebraElement(d, sp.expand(q**k))
+    return sp.expand(q**k)
 
 
-def apply_H(elem: TermAlgebraElement, b: TrigPotential) -> TermAlgebraElement:
-    """H_y elem = (-Delta_y + b(y)) elem, exactly."""
-    d = elem.dimension
-    xs, ys = _xy_vars(d)
-    lap = sum(sp.diff(elem.expr, ys[i], 2) for i in range(d))
-    return TermAlgebraElement(d, sp.expand(-lap + b.to_expr(ys) * elem.expr))
+def apply_H(expr: sp.Expr, b: TrigPotential) -> sp.Expr:
+    """H_y expr = (-Delta_y + b(y)) expr, exactly, for an expression over the
+    joint (x, y) variables of b's dimension."""
+    _, ys = _xy_vars(b.dimension)
+    lap = sum(sp.diff(expr, y, 2) for y in ys)
+    return sp.expand(-lap + b.to_expr(ys) * expr)
 
 
 _J_MAX = 4  # the highest sigma_j: the term algebra grows fast with j
@@ -114,6 +97,7 @@ def sigma_j(b: TrigPotential, j: int) -> sp.Expr:
     (4^k k! (k+j)! (j-k)! Gamma(k+d/2+1)) * H^{k+j}(|z|^{2k}) at y = x."""
     _require_j(j)
     d = b.dimension
+    xs, ys = _xy_vars(d)
     acc = sp.Integer(0)
     for k in range(j + 1):
         elem = z_norm_power(d, k)
@@ -122,7 +106,7 @@ def sigma_j(b: TrigPotential, j: int) -> sp.Expr:
         pref = ((-1) ** j * sp.gamma(j + sp.Rational(d, 2))
                 / (4**k * sp.factorial(k) * sp.factorial(k + j)
                    * sp.factorial(j - k) * sp.gamma(k + sp.Rational(d, 2) + 1)))
-        acc += pref * elem.at_diagonal()
+        acc += pref * sp.expand(elem.subs(dict(zip(ys, xs))))  # at y = x
     return sp.simplify(acc)
 
 

@@ -114,22 +114,6 @@ class CoefficientExpr:
             self._shifts[key] = weakref.ref(out)
         return out
 
-    def __add__(self, other):
-        return Sum([self, as_expr(other)])
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return Prod([self, as_expr(other)])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Prod([Const(-1.0), self])
-
-    def __sub__(self, other):
-        return Sum([self, -as_expr(other)])
-
 
 def as_expr(x) -> CoefficientExpr:
     if isinstance(x, CoefficientExpr):
@@ -438,8 +422,13 @@ def class_norm(sym: Symbol, grid: XiGrid) -> float:
     return total
 
 
-def is_symmetric(sym: Symbol, grid: XiGrid, tol: float = 1e-12) -> bool:
-    """bhat(theta, xi) == conj(bhat(-theta, xi+theta)) on the grid."""
+# absolute tolerance of is_symmetric
+SYMMETRY_TOL = 1e-12
+
+
+def is_symmetric(sym: Symbol, grid: XiGrid) -> bool:
+    """bhat(theta, xi) == conj(bhat(-theta, xi+theta)) on the grid, to
+    SYMMETRY_TOL."""
     pts = np.asarray(grid.points, dtype=float)
     # the left-hand sides share one memo at pts; each right-hand side is the
     # only evaluation on its grid pts + theta, so eval's own memo serves it
@@ -448,7 +437,7 @@ def is_symmetric(sym: Symbol, grid: XiGrid, tol: float = 1e-12) -> bool:
         mirror = sym.coeff(-th)
         lhs = ex._memo(pts, memo)
         rhs = np.conj(mirror.eval(pts + th.to_float()))
-        if np.abs(lhs - rhs).max(initial=0.0) > tol:
+        if np.abs(lhs - rhs).max(initial=0.0) > SYMMETRY_TOL:
             return False
     return True
 

@@ -121,13 +121,23 @@ def fit_power_coefficient(lams, residuals, exponent: float) -> float:
     return float(basis @ res / (basis @ basis))
 
 
+def _check_positive(lams: np.ndarray):
+    """ValueError unless every lambda is finite and > 0: the geometric bins
+    grow from the smallest by a ratio, so they never pass an infinite top and
+    never leave a start at or below 0."""
+    if not (np.isfinite(lams).all() and (lams > 0).all()):
+        raise ValueError("every lambda must be finite and > 0, got %r" % (lams,))
+
+
 def binned_envelope(lams, residuals):
     """Geometric bins of ratio 1.3; median |R| per bin; bins where the
     residual changes sign are dropped (oscillatory terms).  If the sign rule
     keeps fewer than 3 bins the residual oscillates faster than the bin width
     and the median |R| over all bins is itself the envelope, so all bins are
-    kept instead.  Returns (centers, medians)."""
+    kept instead.  Returns (centers, medians); ValueError unless every lambda
+    is finite and > 0."""
     lams = np.asarray(lams, dtype=float)
+    _check_positive(lams)
     res = np.asarray(residuals, dtype=float)
     order = np.argsort(lams)
     lams, res = lams[order], res[order]
@@ -154,31 +164,27 @@ def binned_envelope(lams, residuals):
 def _log_slope(centers, medians):
     keep = medians > 0
     if keep.sum() < 3:
-        return None, None
-    coef = np.polyfit(np.log(centers[keep]), np.log(medians[keep]), 1)
-    return float(coef[0]), float(math.exp(coef[1]))
+        return None
+    return float(np.polyfit(np.log(centers[keep]), np.log(medians[keep]), 1)[0])
 
 
 @dataclass
 class ResidualLadder:
-    ladder: np.ndarray
-    x: object
-    y: object
-    oracle_values: np.ndarray
     residuals: dict          # L -> array R_L(lambda)
     slopes: dict             # L -> binned log-log slope (None if noise floor)
-    amplitudes: dict         # L -> envelope amplitude exp(intercept)
     noise_floor: dict        # L -> bool
 
 
 def residual_ladder(coeffs: ExpansionCoefficients, ladder, oracle_values,
-                    L: int, x, y=None) -> ResidualLadder:
-    """R_L(lambda) = N_oracle - expansion through L terms, for each L' <= L,
-    with sign-robust binned slope fits; an R_L below 1e-8 max |N_oracle| is
-    at the noise floor and gets no fit."""
+                    L: int, x) -> ResidualLadder:
+    """R_L(lambda) = N_oracle - expansion through L terms at the point x, for
+    each L' <= L, with sign-robust binned slope fits; an R_L below
+    1e-8 max |N_oracle| is at the noise floor and gets no fit.  ValueError
+    unless the ladder is strictly increasing, finite and > 0."""
     ladder = np.asarray(ladder, dtype=float)
     if ladder.ndim != 1 or not (np.diff(ladder) > 0).all():
         raise ValueError("ladder must be strictly increasing")
+    _check_positive(ladder)
     oracle_values = np.asarray(oracle_values, dtype=float)
     if oracle_values.shape != ladder.shape:
         raise ValueError("oracle values must match the ladder")
@@ -186,29 +192,21 @@ def residual_ladder(coeffs: ExpansionCoefficients, ladder, oracle_values,
         raise ValueError("L exceeds available coefficients")
     d = coeffs.dimension
     scale = float(np.max(np.abs(oracle_values)))
-    residuals, slopes, amps, noise = {}, {}, {}, {}
+    residuals, slopes, noise = {}, {}, {}
     for Lp in range(L + 1):
         R = oracle_values - expansion_eval(coeffs, ladder, x, L=Lp)
         residuals[Lp] = R
-        if scale > 0 and np.max(np.abs(R)) < 1e-8 * scale:
-            noise[Lp] = True
-            slopes[Lp] = None
-            amps[Lp] = None
-            continue
-        noise[Lp] = False
-        centers, medians = binned_envelope(ladder, R)
-        slopes[Lp], amps[Lp] = _log_slope(centers, medians)
-    return ResidualLadder(ladder=ladder, x=x, y=y,
-                          oracle_values=oracle_values, residuals=residuals,
-                          slopes=slopes, amplitudes=amps, noise_floor=noise)
+        noise[Lp] = bool(scale > 0 and np.max(np.abs(R)) < 1e-8 * scale)
+        slopes[Lp] = None if noise[Lp] else _log_slope(*binned_envelope(ladder, R))
+    return ResidualLadder(residuals=residuals, slopes=slopes, noise_floor=noise)
 
 
-def diagonal_growth_check(lams, values, d: int, C: Optional[float] = None) -> dict:
-    """e_lambda(x,x) <= C lambda^{d/2} along the ladder (wave packet bound)."""
+def diagonal_growth_check(lams, values, d: int) -> dict:
+    """e_lambda(x,x) <= C lambda^{d/2} along the ladder (wave packet bound),
+    C = 2 C_d + 1."""
     lams = np.asarray(lams, dtype=float)
     values = np.asarray(values, dtype=float)
-    if C is None:
-        C = 2.0 * weyl_constant(d) + 1.0
+    C = 2.0 * weyl_constant(d) + 1.0
     ratio = values / lams ** (d / 2.0)
     worst = float(np.max(ratio))
     return {"C": C, "max_ratio": worst, "passed": bool(worst <= C)}

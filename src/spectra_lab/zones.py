@@ -54,24 +54,27 @@ def default_alpha(d: int) -> tuple[float, ...]:
     return tuple((1.0 / (4 * d)) * (1.0 + j / (2 * d)) for j in range(1, d + 1))
 
 
+# the most points a congruence closure visits before CapExceeded, a safety
+# net behind the class bound
+CLOSURE_CAP = 10**6
+
+
 @dataclass(frozen=True)
 class ZoneParameters:
     rho_n: float
     alpha: tuple[float, ...] = ()
     ktilde: int = 1
     dimension: int = 0
-    closure_cap: int = 10**6
 
     @classmethod
     def create(cls, rho_n: float, d: int, alpha: Optional[Sequence[float]] = None,
-               ktilde: int = 1, closure_cap: int = 10**6) -> "ZoneParameters":
+               ktilde: int = 1) -> "ZoneParameters":
         a = tuple(alpha) if alpha is not None else default_alpha(d)
         if len(a) != d:
             raise ValueError("need d alpha exponents")
         if any(a[i] >= a[i + 1] for i in range(d - 1)) or a[-1] >= 1.0 / (2 * d):
             raise ValueError("alpha must increase and satisfy alpha_d < 1/(2d)")
-        return cls(rho_n=float(rho_n), alpha=a, ktilde=ktilde, dimension=d,
-                   closure_cap=closure_cap)
+        return cls(rho_n=float(rho_n), alpha=a, ktilde=ktilde, dimension=d)
 
     def L(self, j: int) -> float:
         """L_j = rho_n^alpha_j, 1-based."""
@@ -231,7 +234,7 @@ class ZoneGeometry:
         Every point of the class of xi in Xi(V), dim V = m, lies within
         2 m L_m of xi (criterion 09's bound), so the closure raises
         ClassBoundExceeded at the first point farther out; CapExceeded past
-        zp.closure_cap points stays as the safety net."""
+        CLOSURE_CAP points stays as the safety net."""
         xi = np.asarray(xi, dtype=float)
         label = self._label(xi)
         m = self._dims[label]
@@ -261,9 +264,9 @@ class ZoneGeometry:
                                     % (xi.tolist(), m, dist, reach))
                             seen[noff] = q
                             new.append(noff)
-                            if len(seen) > self.zp.closure_cap:
+                            if len(seen) > CLOSURE_CAP:
                                 raise CapExceeded(
-                                    "congruence closure exceeded %d nodes" % self.zp.closure_cap)
+                                    "congruence closure exceeded %d nodes" % CLOSURE_CAP)
             frontier = new
         return CongruenceClass(seed=xi, points=tuple(seen.values()),
                                subspace=self.subspaces[label])

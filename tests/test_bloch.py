@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from spectra_lab.bloch import (_WINDOW_EPS, BlochOracle1D, _banded_rep,
                                _eig_banded_k, _fermi_sums, _support_windows,
                                _wave_amp, _window_amp, build_fiber,
-                               fiber_spectrum, free_lds_d1, free_lds_d2,
-                               lattice_fourier, spectral_function)
+                               free_lds_d1, free_lds_d2, lattice_fourier,
+                               spectral_function)
 from spectra_lab.errors import (NonHermitianPotential, NonLatticeFrequencies,
                                 TruncationCeiling)
 from spectra_lab.frequency import GeneratorBasis, freq
@@ -76,18 +76,16 @@ def test_fiber_mathieu_tridiagonal():
 
 
 def test_fiber_spectrum_orthonormal():
-    fib = build_fiber(0.13, MATHIEU, 8, d=1)
-    spec = fiber_spectrum(fib)
-    assert (np.diff(spec.energies) >= -1e-12).all()
-    G = spec.vectors.conj().T @ spec.vectors
+    energies, vectors = np.linalg.eigh(build_fiber(0.13, MATHIEU, 8, d=1).matrix)
+    assert (np.diff(energies) >= -1e-12).all()
+    G = vectors.conj().T @ vectors
     assert np.allclose(G, np.eye(G.shape[0]), atol=1e-12)
 
 
 def test_projector_idempotent():
-    fib = build_fiber(0.13, MATHIEU, 8, d=1)
-    spec = fiber_spectrum(fib)
-    sel = spec.energies <= 9.0
-    P = spec.vectors[:, sel] @ spec.vectors[:, sel].conj().T
+    energies, vectors = np.linalg.eigh(build_fiber(0.13, MATHIEU, 8, d=1).matrix)
+    sel = energies <= 9.0
+    P = vectors[:, sel] @ vectors[:, sel].conj().T
     assert np.linalg.norm(P @ P - P, 2) < 1e-10
 
 
@@ -114,6 +112,15 @@ def test_free_fast_paths():
     lams2 = np.geomspace(10.0, 200.0, 8)
     N2 = free_lds_d2(lams2, 512)
     assert np.max(np.abs(N2 / (lams2 / (4 * math.pi)) - 1)) < 1e-4
+    # no state lies below 0; at lambda = 0 only an odd grid's k = 0, m = 0
+    # sits on the cut, counted by <= and not by <, so it weighs 1/2
+    for Nk in (16, 17):
+        at0 = 0.5 * (Nk % 2)
+        assert spectral_function(-1.0, 0.0, 0.0, {}, 8, Nk) == 0.0
+        assert free_lds_d1([-1.0, 0.0], Nk).tolist() == [0.0, at0 / Nk / (2 * math.pi)]
+        assert spectral_function(-1.0, np.zeros(2), np.zeros(2), {}, 8, Nk, d=2) == 0.0
+        assert free_lds_d2([-1.0, 0.0], Nk).tolist() == [
+            0.0, at0 / Nk**2 / (2 * math.pi) ** 2]
 
 
 def test_truncation_ceiling():

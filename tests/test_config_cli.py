@@ -99,6 +99,14 @@ def test_malformed_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(Malformed):
         parse_config(str(p))
+    # a directory, and a file that is not UTF-8, are config errors too
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"dimension": 1, "note": "\xe9"}')
+    for path, message in ((tmp_path, "cannot read config file"),
+                          (latin1, "config file is not UTF-8")):
+        with pytest.raises(Malformed) as exc:
+            parse_config(str(path))
+        assert exc.value.violations[0].startswith(message)
 
 
 def test_all_violations_collected(tmp_path):
@@ -154,6 +162,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfgpath = _write(tmp_path, MATHIEU_CFG)
     out = str(tmp_path / "out.csv")
     assert main(["bloch", "--config", cfgpath, "--out", out]) == 0
+    # file errors end in exit 2 and one config error line, before the run:
+    # an --out in a missing directory or naming one, a --config naming a
+    # directory or a file that is not UTF-8
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"dimension": 1, "note": "\xe9"}')
+    capsys.readouterr()
+    for args in (["--config", cfgpath, "--out", str(tmp_path / "no" / "out.csv")],
+                 ["--config", cfgpath, "--out", str(tmp_path)],
+                 ["--config", str(tmp_path)],
+                 ["--config", str(latin1)]):
+        assert main(["bloch"] + args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "", args
+        assert captured.err.count("\n") == 1, args
+        assert captured.err.startswith("config error: "), args
     bad = dict(MATHIEU_CFG)
     bad["dimension"] = 3
     bad["frequencies"] = []

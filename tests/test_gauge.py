@@ -147,7 +147,7 @@ def test_w_k3_symmetric_at_large_xi(axes2d, rational_basis, a1, a2, xi):
     b = multiplication_symbol({e1: a1, -e1: a1, e2: a2, -e2: a2})
     zp = ZoneParameters.create(RHO, 2, ktilde=3)
     out = run_gauge(b, 3, CutoffFamily(RHO, zp.beta), axes2d)
-    assert is_symmetric(out.w, XiGrid(np.array([xi]), zp.beta), tol=1e-12)
+    assert is_symmetric(out.w, XiGrid(np.array([xi]), zp.beta))
 
 
 def test_verify_b3_mathieu(rational_basis, cf1, mathieu1d, rng):
@@ -158,6 +158,7 @@ def test_verify_b3_mathieu(rational_basis, cf1, mathieu1d, rng):
     rep = verify_b3(out, pts, mathieu1d, zp)
     assert rep["passed"]
     assert rep["checked"] > 0
+    assert rep["tol"] == 1e-12
 
 
 def test_norm_ladder_decreases(rational_basis, cf1, mathieu1d, rng):

@@ -156,6 +156,20 @@ def test_binned_envelope_sign_rule():
     assert slope == pytest.approx(-0.5, abs=0.1)
 
 
+@pytest.mark.parametrize("lams", [[0.0, 1.0, 2.0], [-2.0, -1.0, 1.0],
+                                  [1.0, 2.0, math.inf], [1.0, math.nan, 2.0]])
+def test_ladder_finite_and_positive(lams):
+    """Each geometric bin edge is the last times 1.3, so an edge at 0 stays
+    there, a negative one runs off to -inf and an infinite top is never
+    passed: both entry points raise before the bin loop instead."""
+    with pytest.raises(ValueError, match="finite and > 0"):
+        binned_envelope(lams, np.ones(3))
+    c = ExpansionCoefficients(1, ())
+    if (np.diff(lams) > 0).all():
+        with pytest.raises(ValueError, match="finite and > 0"):
+            residual_ladder(c, lams, np.ones(3), 0, 0.0)
+
+
 def test_projection_perturbation_bounds():
     for s, eps in ((0, 1e-2), (2, 1e-3)):
         rep = check_projection_perturbation(25, s, eps, 25, seed=3)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spectra_lab import zones
 from spectra_lab.errors import CapExceeded, ClassBoundExceeded, ZeroFrequency
 from spectra_lab.frequency import (FrequencySet, GeneratorBasis, algebraic_sum,
                                    freq)
@@ -210,15 +211,15 @@ def test_congruence_leaves_class_bound_at_once(zp2):
     assert time.perf_counter() - t0 < 0.1
 
 
-def test_congruence_cap_exceeded(axes2d, axes_geom, zp2):
+def test_congruence_cap_exceeded(axes2d, axes_geom, zp2, monkeypatch):
     # the origin's class on axes2d has 25 points, all within 4 L_2 of it
     cls = axes_geom.congruence_class(np.zeros(2))
     assert len(cls) == 25
     assert cls.subspace.dimension == 2
     assert max(np.linalg.norm(p) for p in cls.points) <= 4 * zp2.L(2)
-    capped = ZoneGeometry(axes2d, ZoneParameters.create(1000.0, 2, closure_cap=10))
+    monkeypatch.setattr(zones, "CLOSURE_CAP", 10)
     with pytest.raises(CapExceeded) as err:
-        capped.congruence_class(np.zeros(2))
+        axes_geom.congruence_class(np.zeros(2))
     assert type(err.value) is CapExceeded
 
 

@@ -124,21 +124,17 @@ def cmd_heat(cfg: RunConfig) -> tuple:
                        discrepancy_report, mean_a, weyl_constant)
 
     b = TrigPotential.build(cfg.dimension, cfg.potential)
-    x = list(cfg.x)
-    # each closed form is simplified once, then reused at x and for its mean
-    form1 = closed_form_a(b, 1)
-    a1 = at_point(form1, x)
-    form2 = closed_form_a(b, 2)
-    a2 = at_point(form2, x)
-    disc = discrepancy_report(b, x, a1)
+    a1 = at_point(closed_form_a(b, 1), cfg.x)
+    a2 = at_point(closed_form_a(b, 2), cfg.x)
+    disc = discrepancy_report(b, cfg.x)
     report = {
         "dimension": cfg.dimension,
         "x": list(cfg.x),
         "weyl_constant": float(weyl_constant(cfg.dimension)),
         "a1": {"exact": sp.srepr(a1), "pretty": str(a1), "float": float(a1)},
         "a2": {"exact": sp.srepr(a2), "pretty": str(a2), "float": float(a2)},
-        "mean_a1": str(mean_a(b, 1, form1)),
-        "mean_a2": str(mean_a(b, 2, form2)),
+        "mean_a1": str(mean_a(b, 1)),
+        "mean_a2": str(mean_a(b, 2)),
         "sigma_engine": {
             "a1_verbatim": str(disc["a1_verbatim"]),
             "a1_closed_form": str(disc["a1_closed_form"]),

@@ -249,9 +249,9 @@ def validate_config(raw: dict, command: Optional[str] = None) -> RunConfig:
 
     x = point("x") or RunConfig.x * d
     y = point("y")
-    if command == "compare" and raw.get("y") is not None:
-        violations.append("command 'compare' evaluates on the diagonal only "
-                          "(y must be null; bloch takes y)")
+    if command in ("compare", "heat") and raw.get("y") is not None:
+        violations.append("command %r evaluates on the diagonal only "
+                          "(y must be null; bloch takes y)" % command)
 
     samples = setting("samples", positive, "samples must be a positive integer")
     seed = setting("seed", functools.partial(_integer, lo=0),

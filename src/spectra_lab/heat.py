@@ -1,61 +1,85 @@
 """Local heat invariants sigma_j(x) and LDS expansion coefficients a_j(x) for
-trigonometric-polynomial potentials, computed exactly.
+trigonometric-polynomial potentials, computed exactly on one Fourier table
+{theta: c}, theta rational and c in Q(i).  A float c is the shortest decimal
+that round-trips to it, so a config's 0.2 is 1/5; a literal with more than
+17 significant digits is not read as written.  Results are rationals times a
+power of pi times cos/sin of <theta, x> (rational arguments at a point).
 
-Two routes are provided: the verbatim k-sum for sigma_j (with exact
-half-integer Gamma factors) and the closed forms for a_1, a_2.  The k-sum's
-terms, |x - y|^{2k} and H_y applied to it, are plain sympy expressions over
-the joint (x, y) variables (z_norm_power, apply_H).  The two
-disagree on normalization for j >= 1 (the verbatim sigma_1 comes out as
--2b/(d+2) instead of -b); both values are reported and the closed forms are
-what the spectral oracle reproduces.
+Two routes: the verbatim k-sum for sigma_j, on jets z^alpha e^{i<theta, y>},
+z = x - y, read off at z = 0, and the closed forms for a_1, a_2.  They
+disagree on normalization for j >= 1 (the verbatim sigma_1 is -2b/(d+2), not
+-b); both are reported and the closed forms are what the oracle reproduces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from itertools import product
+from math import factorial, prod
+from typing import Mapping, Sequence
 
 import sympy as sp
+from sympy.polys.domains import QQ_I
 
 from .errors import UnsupportedGenerators
 
 
-def _xy_vars(d: int):
-    xs = sp.symbols("x0:%d" % d, real=True)
-    ys = sp.symbols("y0:%d" % d, real=True)
-    return xs, ys
+def x_vars(d: int):
+    return sp.symbols("x0:%d" % d, real=True)
+
+
+def _rational(v) -> Fraction:
+    """v exactly; a float as its shortest round-trip decimal."""
+    return Fraction(repr(float(v)) if isinstance(v, (float, sp.Float)) else v)
+
+
+def _add(acc: dict, table: Mapping, scale=lambda th: 1) -> dict:
+    """acc += scale(theta) * table, entrywise."""
+    for th, c in table.items():
+        acc[th] = acc.get(th, QQ_I.zero) + c * scale(th)
+    return acc
+
+
+def _times(p: Mapping, q: Mapping) -> dict:
+    """The product of two trigonometric polynomials."""
+    out = {}
+    for (th, a), (ph, b) in product(p.items(), q.items()):
+        _add(out, {tuple(s + t for s, t in zip(th, ph)): a * b})
+    return out
+
+
+def _norm2(th) -> Fraction:
+    return sum(t * t for t in th)
 
 
 @dataclass(frozen=True)
 class TrigPotential:
-    """b(x) = sum_theta c_theta exp(i <theta, x>) with rational frequency
-    coordinates and exact coefficients; must be real-valued."""
+    """b(x) = sum_theta c_theta exp(i <theta, x>), rational theta and
+    Gaussian-rational c_theta, equal theta summed."""
 
     dimension: int
-    fourier: tuple  # tuple of (theta coords tuple, sympy coefficient)
+    fourier: dict  # {theta Fractions tuple: QQ_I coefficient}
 
     @classmethod
     def build(cls, d: int, fourier: Mapping) -> "TrigPotential":
         """`fourier` is keyed by coordinate tuples or FrequencyVector; a
         frequency with a surd part raises UnsupportedGenerators."""
-        entries = []
+        table = {}
         for th, c in fourier.items():
             if hasattr(th, "coords"):
                 if any(s != 0 for _, s in th.coords):
                     raise UnsupportedGenerators(
                         "TrigPotential needs rational frequencies, got %r" % (th,))
                 th = tuple(a for a, _ in th.coords)
-            th = tuple(sp.Rational(Fraction(t)) for t in th)
-            entries.append((th, sp.sympify(c)))
-        return cls(d, tuple(entries))
+            re_im = map(_rational, sp.sympify(c).as_real_imag())
+            _add(table, {tuple(map(_rational, th)): QQ_I(*re_im)})
+        return cls(d, table)
 
-    def to_expr(self, vars_: Sequence[sp.Symbol]) -> sp.Expr:
-        acc = sp.Integer(0)
-        for th, c in self.fourier:
-            phase = sum(t * v for t, v in zip(th, vars_))
-            acc += c * sp.exp(sp.I * phase)
-        return sp.expand(acc)
+    def to_float(self) -> dict:
+        """The float view {theta floats: complex coefficient}."""
+        return {tuple(map(float, th)): complex(float(c.x), float(c.y))
+                for th, c in self.fourier.items()}
 
 
 def zero_potential(d: int) -> TrigPotential:
@@ -69,58 +93,87 @@ def cosine_potential(d: int, amplitude=1, axis: int = 0) -> TrigPotential:
     return TrigPotential.build(d, {plus: amplitude, minus: amplitude})
 
 
-def z_norm_power(d: int, k: int) -> sp.Expr:
-    """|x - y|^{2k} over the joint (x, y) variables."""
-    xs, ys = _xy_vars(d)
-    q = sum((xs[i] - ys[i]) ** 2 for i in range(d))
-    return sp.expand(q**k)
+def _expr(const: sp.Expr, table: Mapping, xs: Sequence) -> sp.Expr:
+    """const * sum_theta c_theta e^{i<theta, x>}, each +-theta pair written
+    as (c + c') cos phi + i (c - c') sin phi."""
+    terms, done = [], set()
+    for th, c in table.items():
+        neg = tuple(-t for t in th)
+        if th not in done:
+            done.update((th, neg))
+            c2 = table.get(neg, QQ_I.zero) if neg != th else QQ_I.zero
+            phase = sum(sp.Rational(t) * v for t, v in zip(th, xs))
+            terms += [const * QQ_I.to_sympy(c + c2) * sp.cos(phase),
+                      const * QQ_I.to_sympy((c - c2) * QQ_I(0, 1)) * sp.sin(phase)]
+    return sp.Add(*terms)
 
 
-def apply_H(expr: sp.Expr, b: TrigPotential) -> sp.Expr:
-    """H_y expr = (-Delta_y + b(y)) expr, exactly, for an expression over the
-    joint (x, y) variables of b's dimension."""
-    _, ys = _xy_vars(b.dimension)
-    lap = sum(sp.diff(expr, y, 2) for y in ys)
-    return sp.expand(-lap + b.to_expr(ys) * expr)
+def z_norm_jet(d: int, k: int) -> dict:
+    """|x - y|^{2k} as a jet {alpha: {theta: c}} for z^alpha e^{i<theta, y>},
+    z = x - y: the multinomial expansion of (z_1^2 + ... + z_d^2)^k."""
+    return {tuple(2 * i for i in beta):
+            {(0,) * d: QQ_I(factorial(k) // prod(map(factorial, beta)), 0)}
+            for beta in product(range(k + 1), repeat=d) if sum(beta) == k}
 
 
-_J_MAX = 4  # the highest sigma_j: the term algebra grows fast with j
+def apply_H(jet: Mapping, b: TrigPotential) -> dict:
+    """H_y = -Delta_y + b(y) on a jet, exactly:
+    -d^2/dy_i^2 (z^alpha e^{i theta y}) = (-alpha_i (alpha_i - 1) z^{alpha-2e_i}
+    + 2 i theta_i alpha_i z^{alpha-e_i} + theta_i^2 z^alpha) e^{i theta y}."""
+    out = {}
+    for al, table in jet.items():
+        _add(_add(out.setdefault(al, {}), table, _norm2), _times(table, b.fourier))
+        for i, a in enumerate(al):
+            for step, scale in ((1, lambda th: QQ_I(0, 2 * a * th[i])),
+                                (2, lambda th: -a * (a - 1))):
+                if a >= step:
+                    low = al[:i] + (a - step,) + al[i + 1:]
+                    _add(out.setdefault(low, {}), table, scale)
+    return out
 
 
-def _require_j(j: int):
+def diagonal(jet: Mapping) -> dict:
+    """A jet at y = x (z = 0): its z^0 Fourier table."""
+    return next((t for al, t in jet.items() if not any(al)), {})
+
+
+_J_MAX = 4  # the highest sigma_j: the jets grow fast with j
+
+
+def _sigma_table(b: TrigPotential, j: int) -> dict:
+    """Verbatim k-sum: sum_k (-1)^j Gamma(j+d/2) /
+    (4^k k! (k+j)! (j-k)! Gamma(k+d/2+1)) * H^{k+j}(|z|^{2k}) at y = x.
+    Each H lowers the z-degree by at most 2, so a z^alpha with |alpha| above
+    twice the H's still to come never reaches z = 0 and is dropped."""
     if j > _J_MAX:
         raise ValueError("sigma_j capped at j_max=%d (term algebra growth)" % _J_MAX)
+    d = b.dimension
+    acc = {}
+    for k in range(j + 1):
+        jet = z_norm_jet(d, k)
+        for left in range(k + j - 1, -1, -1):
+            jet = {al: t for al, t in apply_H(jet, b).items() if sum(al) <= 2 * left}
+        pref = QQ_I.from_sympy(
+            (-1) ** j * sp.gamma(j + sp.Rational(d, 2))
+            / (4**k * factorial(k) * factorial(k + j) * factorial(j - k)
+               * sp.gamma(k + sp.Rational(d, 2) + 1)))
+        _add(acc, diagonal(jet), lambda th: pref)
+    return acc
 
 
 def sigma_j(b: TrigPotential, j: int) -> sp.Expr:
-    """Verbatim k-sum: sum_k (-1)^j Gamma(j+d/2) /
-    (4^k k! (k+j)! (j-k)! Gamma(k+d/2+1)) * H^{k+j}(|z|^{2k}) at y = x."""
-    _require_j(j)
-    d = b.dimension
-    xs, ys = _xy_vars(d)
-    acc = sp.Integer(0)
-    for k in range(j + 1):
-        elem = z_norm_power(d, k)
-        for _ in range(k + j):
-            elem = apply_H(elem, b)
-        pref = ((-1) ** j * sp.gamma(j + sp.Rational(d, 2))
-                / (4**k * sp.factorial(k) * sp.factorial(k + j)
-                   * sp.factorial(j - k) * sp.gamma(k + sp.Rational(d, 2) + 1)))
-        acc += pref * sp.expand(elem.subs(dict(zip(ys, xs))))  # at y = x
-    return sp.simplify(acc)
+    return _expr(sp.Integer(1), _sigma_table(b, j), x_vars(b.dimension))
+
+
+def _sigma_a(b: TrigPotential, j: int):
+    """(const, table) with a_j = sigma_j / ((4 pi)^{d/2} Gamma(d/2 - j + 1))
+    = const * table; 1/Gamma at a non-positive integer is an exact 0."""
+    h = sp.Rational(b.dimension, 2)
+    return 1 / ((4 * sp.pi) ** h * sp.gamma(h - j + 1)), _sigma_table(b, j)
 
 
 def a_from_sigma(b: TrigPotential, j: int) -> sp.Expr:
-    """a_j(x) = sigma_j(x) / ((4 pi)^{d/2} Gamma(d/2 - j + 1)); the 1/Gamma
-    factor at non-positive integers is an exact zero, returned without
-    computing sigma_j (the cap on j is checked first all the same)."""
-    _require_j(j)
-    d = b.dimension
-    gam = sp.gamma(sp.Rational(d, 2) - j + 1)
-    if gam == sp.zoo or gam.is_infinite:
-        return sp.Integer(0)
-    sig = sigma_j(b, j)
-    return sp.simplify(sig / ((4 * sp.pi) ** sp.Rational(d, 2) * gam))
+    return _expr(*_sigma_a(b, j), x_vars(b.dimension))
 
 
 def unit_ball_volume(d: int) -> sp.Expr:
@@ -131,58 +184,51 @@ def weyl_constant(d: int) -> sp.Expr:
     return unit_ball_volume(d) / (2 * sp.pi) ** d
 
 
-def closed_form_a(b: TrigPotential, j: int) -> sp.Expr:
-    """Closed forms a_1 = -(d w_d / (2 (2 pi)^d)) b and
-    a_2 = (d (d-2) w_d / (24 (2 pi)^d)) (3 b^2 - Delta b); exact."""
+def _closed(b: TrigPotential, j: int):
+    """(const, table) with a_1 = -(d/2) C_d b and
+    a_2 = (d (d-2)/24) C_d (3 b^2 - Delta b), C_d = weyl_constant(d)."""
     d = b.dimension
-    xs, _ = _xy_vars(d)
-    w_d = unit_ball_volume(d)
-    bexpr = b.to_expr(xs)
     if j == 1:
-        out = -sp.Rational(d, 2) * w_d / (2 * sp.pi) ** d * bexpr
-    elif j == 2:
-        lap = sum(sp.diff(bexpr, xs[i], 2) for i in range(d))
-        out = (sp.Rational(d * (d - 2), 24) * w_d / (2 * sp.pi) ** d
-               * (3 * bexpr**2 - lap))
-    else:
-        raise ValueError("closed forms provided for j in {1, 2}")
-    return sp.simplify(out)
+        return -sp.Rational(d, 2) * weyl_constant(d), b.fourier
+    if j == 2:
+        # -Delta e^{i<theta, x>} = |theta|^2 e^{i<theta, x>}
+        table = _add(_add({}, _times(b.fourier, b.fourier), lambda th: 3),
+                     b.fourier, _norm2)
+        return sp.Rational(d * (d - 2), 24) * weyl_constant(d), table
+    raise ValueError("closed forms provided for j in {1, 2}")
+
+
+def closed_form_a(b: TrigPotential, j: int) -> sp.Expr:
+    """The closed form of a_j, j in {1, 2}, over x_vars(d); exact."""
+    return _expr(*_closed(b, j), x_vars(b.dimension))
 
 
 def at_point(expr: sp.Expr, x: Sequence) -> sp.Expr:
-    """An x-dependent closed form at the point x, simplified."""
-    xs, _ = _xy_vars(len(x))
-    return sp.simplify(expr.subs(dict(zip(xs, [sp.sympify(v) for v in x]))))
+    """An x-dependent form at the point x, each coordinate taken exactly."""
+    pt = [sp.Rational(_rational(v)) for v in x]
+    return expr.xreplace(dict(zip(x_vars(len(x)), pt)))
 
 
-def mean_a(b: TrigPotential, j: int, closed: Optional[sp.Expr] = None) -> sp.Expr:
-    """M_x a_j(x), exact from the Fourier data (zero-frequency extraction);
-    closed is closed_form_a(b, j) when the caller has it already."""
-    d = b.dimension
-    xs, _ = _xy_vars(d)
-    if closed is None:
-        closed = closed_form_a(b, j)
-    expr = sp.expand(sp.expand_trig(closed))
-    expr = expr.rewrite(sp.exp)
-    mean = sp.Integer(0)
-    for term in sp.Add.make_args(sp.expand(expr)):
-        if not term.has(*xs):
-            mean += term
-    return sp.simplify(mean)
+def mean_a(b: TrigPotential, j: int) -> sp.Expr:
+    """M_x a_j(x), exact: the zero-frequency entry of a_j's table."""
+    const, table = _closed(b, j)
+    return const * QQ_I.to_sympy(table.get((0,) * b.dimension, QQ_I.zero))
 
 
-def discrepancy_report(b: TrigPotential, x: Sequence,
-                       closed: Optional[sp.Expr] = None) -> dict:
+def discrepancy_report(b: TrigPotential, x: Sequence) -> dict:
     """Verbatim sigma-engine a_1 versus the closed form at a point; the ratio
-    2/(d+2) is the known normalization gap of the verbatim k-sum.  closed is
-    at_point(closed_form_a(b, 1), x) when the caller has it already."""
+    2/(d+2) is the known normalization gap of the verbatim k-sum, exact as
+    the quotient of the two tables where they are proportional."""
     d = b.dimension
-    xs, _ = _xy_vars(d)
-    subs = dict(zip(xs, [sp.sympify(v) for v in x]))
-    verbatim = sp.simplify(a_from_sigma(b, 1).subs(subs))
-    if closed is None:
-        closed = at_point(closed_form_a(b, 1), x)
-    ratio = sp.simplify(verbatim / closed) if closed != 0 else None
+    (kv, v), (kc, c) = _sigma_a(b, 1), _closed(b, 1)
+    verbatim = at_point(_expr(kv, v, x_vars(d)), x)
+    closed = at_point(_expr(kc, c, x_vars(d)), x)
+    ratio = None
+    if closed != 0:  # so c has a nonzero entry
+        r = next(v.get(t, QQ_I.zero) / q for t, q in c.items() if q)
+        exact = all(v.get(t, QQ_I.zero) == r * c.get(t, QQ_I.zero)
+                    for t in v.keys() | c.keys())
+        ratio = kv / kc * QQ_I.to_sympy(r) if exact else verbatim / closed
     return {
         "a1_verbatim": verbatim,
         "a1_closed_form": closed,

@@ -48,10 +48,7 @@ def coefficients_from_potential(b, L: int) -> ExpansionCoefficients:
     if L > 2:
         raise ValueError("closed forms available for L <= 2")
     d = b.dimension
-    table = {}
-    for th, c in b.fourier:
-        key = tuple(float(t) for t in th)
-        table[key] = table.get(key, 0j) + complex(c)
+    table = b.to_float()
     bad = hermitian_violations(table)
     if bad:
         raise NonHermitianPotential(bad[0])

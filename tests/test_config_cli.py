@@ -238,6 +238,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_heat_rejects_y(capsys):
+    """The a_j(x) are on-diagonal: heat refuses a y the way compare does."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "validate_default.json")
+    assert main(["heat", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: command 'heat' evaluates on the "
+                            "diagonal only (y must be null; bloch takes y)\n")
+
+
 @pytest.mark.parametrize("command", ["heat", "zones"])
 def test_huge_surd_is_config_error(tmp_path, capsys, command):
     """A surd_D past the float range exits 2 with a config error, not an

@@ -1,13 +1,14 @@
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ_I
 
 from spectra_lab.errors import UnsupportedGenerators
 from spectra_lab.frequency import GeneratorBasis, freq
-from spectra_lab.heat import (TrigPotential, _xy_vars, a_from_sigma,
-                              apply_H, at_point, closed_form_a,
-                              cosine_potential, discrepancy_report, mean_a,
-                              sigma_j, unit_ball_volume, weyl_constant,
-                              z_norm_power, zero_potential)
+from spectra_lab.heat import (TrigPotential, a_from_sigma, apply_H, at_point,
+                              closed_form_a, cosine_potential, diagonal,
+                              discrepancy_report, mean_a, sigma_j,
+                              unit_ball_volume, weyl_constant, z_norm_jet,
+                              zero_potential)
 
 
 def _mathieu():
@@ -15,33 +16,32 @@ def _mathieu():
     return TrigPotential.build(1, {(1,): 1, (-1,): 1})
 
 
-def _at_diagonal(expr, d):
-    xs, ys = _xy_vars(d)
-    return expr.subs(dict(zip(ys, xs)))
+def _nonzero(table):
+    return {th: c for th, c in table.items() if c}
 
 
 def test_apply_H_on_one():
     b = _mathieu()
-    one = z_norm_power(1, 0)
+    one = z_norm_jet(1, 0)
     out = apply_H(one, b)
-    assert sp.simplify(out - b.to_expr([sp.Symbol("y0", real=True)])) == 0
+    assert list(out) == [(0,)]   # no power of z is left
+    assert _nonzero(diagonal(out)) == b.fourier
 
 
 def test_laplacian_of_z_squared():
     for d in (1, 2, 3):
-        elem = z_norm_power(d, 1)
+        elem = z_norm_jet(d, 1)
         out = apply_H(elem, zero_potential(d))
-        assert sp.simplify(_at_diagonal(out, d) - (-2 * d)) == 0
+        assert _nonzero(diagonal(out)) == {(0,) * d: QQ_I(-2 * d, 0)}
 
 
 def test_H_squared_on_z_squared():
     for d in (1, 2):
         b = cosine_potential(d)
-        elem = z_norm_power(d, 1)
+        elem = z_norm_jet(d, 1)
         out = apply_H(apply_H(elem, b), b)
-        xs = sp.symbols("x0:%d" % d, real=True)
-        bx = b.to_expr(xs)
-        assert sp.simplify(_at_diagonal(out, d) - (-4 * d * bx)) == 0
+        assert _nonzero(diagonal(out)) == {th: -4 * d * c
+                                           for th, c in b.fourier.items()}
 
 
 def test_sigma_zero():
@@ -114,3 +114,52 @@ def test_discrepancy_ratio():
 def test_weyl_constant_values():
     assert sp.simplify(weyl_constant(1) - 1 / sp.pi) == 0
     assert sp.simplify(weyl_constant(2) - 1 / (4 * sp.pi)) == 0
+
+
+def _strings(node):
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _strings(v)
+    elif isinstance(node, str):
+        yield node
+
+
+def test_heat_report_exact_on_shipped_configs(monkeypatch):
+    """cmd_heat without sympy's simplify, expand_trig or rewrite: every
+    string field is exact (no Float), a rational times a power of pi at
+    x = 0 and rationals times cos/sin of rational arguments at
+    validate_default's x = 0.3."""
+    import json
+    import os
+
+    from spectra_lab.cli import cmd_heat
+    from spectra_lab.config import parse_config
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy simplification on the heat path")
+
+    for name in ("simplify", "expand_trig"):
+        monkeypatch.setattr(sp, name, refuse)
+    monkeypatch.setattr(sp.Basic, "simplify", refuse)
+    monkeypatch.setattr(sp.Basic, "rewrite", refuse)
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    reports = {}
+    for name in ("mathieu", "axes2d", "validate_default"):
+        code, text = cmd_heat(parse_config(os.path.join(root, name + ".json")))
+        assert code == 0
+        reports[name] = json.loads(text)
+        for field in _strings(reports[name]):
+            assert "Float(" not in field and "." not in field, (name, field)
+    m, a = reports["mathieu"], reports["axes2d"]
+    assert m["a1"]["pretty"] == "-1/(5*pi)"
+    assert m["a1"]["exact"] == sp.srepr(-1 / (5 * sp.pi))
+    assert m["a2"]["pretty"] == "-11/(300*pi)"
+    assert m["mean_a2"] == "-1/(100*pi)"
+    assert m["sigma_engine"]["a1_verbatim"] == "-2/(15*pi)"
+    assert m["sigma_engine"]["ratio"] == "2/3"
+    assert a["a1"]["pretty"] == "-11/(40*pi)"
+    assert a["sigma_engine"]["ratio"] == "1/2"
+    v = reports["validate_default"]
+    assert v["a1"]["pretty"] == "-cos(3/10)/(10*pi)"
+    assert v["sigma_engine"]["a1_verbatim"] == "-cos(3/10)/(15*pi)"
+    assert v["sigma_engine"]["ratio"] == "2/3"

@@ -64,12 +64,12 @@ def test_coefficients_match_closed_form(name):
     heat.closed_form_a at 20 seeded points; in d = 2 a_2 is exactly 0.0."""
     import sympy as sp
 
-    from spectra_lab.heat import TrigPotential, _xy_vars, closed_form_a
+    from spectra_lab.heat import TrigPotential, closed_form_a, x_vars
 
     d, table = COEFFICIENT_TABLES[name]
     b = TrigPotential.build(d, {th: sp.sympify(c) for th, c in table.items()})
     coeffs = coefficients_from_potential(b, 2)
-    xs, _ = _xy_vars(d)
+    xs = x_vars(d)
     exact = [sp.lambdify(xs, closed_form_a(b, j), "numpy") for j in (1, 2)]
     rng = np.random.default_rng(2024)
     for x in rng.uniform(-2 * math.pi, 2 * math.pi, (20, d)):
@@ -78,6 +78,92 @@ def test_coefficients_match_closed_form(name):
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-15, (x, got, want)
         if d == 2:
             assert got[1] == 0.0
+
+
+def _reference_a(d, table):
+    """a_1 = -(d/2) C_d b and a_2 = d (d-2)/24 C_d (3 b^2 - Delta b) as
+    plain sympy over heat.x_vars(d), with Delta from sp.diff."""
+    import sympy as sp
+
+    from spectra_lab.heat import x_vars
+
+    xs = x_vars(d)
+    b = sum(sp.sympify(c) * sp.exp(sp.I * sum(t * v for t, v in zip(th, xs)))
+            for th, c in table.items())
+    C = sp.pi ** sp.Rational(d, 2) / sp.gamma(1 + sp.Rational(d, 2)) \
+        / (2 * sp.pi) ** d
+    lap = sum(sp.diff(b, v, 2) for v in xs)
+    return (-sp.Rational(d, 2) * C * b,
+            sp.Rational(d * (d - 2), 24) * C * (3 * b**2 - lap))
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_TABLES))
+def test_exact_coefficients_match_reference(name):
+    """heat's table arithmetic against an independent sympy derivation: a_1,
+    a_2 and their means equal exactly, and the sigma-engine ratio is
+    2/(d+2) by ==."""
+    import sympy as sp
+
+    from spectra_lab.heat import (TrigPotential, closed_form_a,
+                                  discrepancy_report, mean_a, x_vars)
+
+    d, table = COEFFICIENT_TABLES[name]
+    b = TrigPotential.build(d, {th: sp.sympify(c) for th, c in table.items()})
+    xs = x_vars(d)
+    for j, ref in enumerate(_reference_a(d, table), start=1):
+        ref = sp.expand(ref)
+        diff = sp.expand((closed_form_a(b, j) - ref).rewrite(sp.exp))
+        assert diff == 0, (j, diff)
+        ref_mean = sum(t for t in sp.Add.make_args(ref) if not t.has(*xs))
+        assert sp.expand(mean_a(b, j) - ref_mean) == 0, j
+    rep = discrepancy_report(b, [0.3] * d)
+    assert rep["ratio"] == sp.Rational(2, d + 2)
+
+
+@st.composite
+def hermitian_tables(draw):
+    """(d, table): a Hermitian table with rational coefficients and integer
+    frequencies of bandwidth <= 3 in d in {1, 2, 3}."""
+    d = draw(st.integers(1, 3))
+    coef = st.fractions(-1, 1, max_denominator=60)
+    thetas = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                           min_size=1, max_size=5))
+    table = {}
+    for th in thetas:
+        re = draw(coef)
+        im = 0 if not any(th) else draw(coef)
+        table[th] = (re, im)
+        table[tuple(-t for t in th)] = (re, -im)
+    return d, table
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_tables(), st.data())
+def test_exact_coefficients_float_agree(dt, data):
+    """float of the exact a_1, a_2 at a drawn x lies within 4 eps scale of
+    the numpy values, scale the sum of the terms' magnitudes, each widened
+    by its phase |<theta, x>| (the rounding of the argument)."""
+    import sympy as sp
+
+    from spectra_lab.heat import TrigPotential, at_point, closed_form_a
+
+    d, table = dt
+    x = data.draw(st.lists(st.floats(-2 * math.pi, 2 * math.pi),
+                           min_size=d, max_size=d))
+    b = TrigPotential.build(d, {th: sp.Rational(re) + sp.I * sp.Rational(im)
+                                for th, (re, im) in table.items()})
+    got = coefficients_from_potential(b, 2).values(x)
+    mags = [(abs(complex(re, im)), float(np.dot(th, th)),
+             1.0 + abs(float(np.dot(th, x)))) for th, (re, im) in table.items()]
+    c1 = d / 2.0 * weyl_constant(d)
+    c2 = abs(d * (d - 2) / 24.0) * weyl_constant(d)
+    size = sum(m for m, _, _ in mags)
+    scales = (c1 * sum(m * w for m, _, w in mags),
+              c2 * sum((6 * size + n) * m * w for m, n, w in mags))
+    eps = np.finfo(float).eps
+    for j, (g, scale) in enumerate(zip(got, scales), start=1):
+        want = float(at_point(closed_form_a(b, j), x))
+        assert abs(want - g) <= 4 * eps * scale, (j, want, g, scale)
 
 
 def test_coefficients_reject_bad_input():

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import sympy as sp
@@ -56,10 +57,10 @@ def _norm2(th) -> Fraction:
 @dataclass(frozen=True)
 class TrigPotential:
     """b(x) = sum_theta c_theta exp(i <theta, x>), rational theta and
-    Gaussian-rational c_theta, equal theta summed."""
+    Gaussian-rational c_theta, equal theta summed; the table is read-only."""
 
     dimension: int
-    fourier: dict  # {theta Fractions tuple: QQ_I coefficient}
+    fourier: Mapping  # {theta Fractions tuple: QQ_I coefficient}
 
     @classmethod
     def build(cls, d: int, fourier: Mapping) -> "TrigPotential":
@@ -74,7 +75,7 @@ class TrigPotential:
                 th = tuple(a for a, _ in th.coords)
             re_im = map(_rational, sp.sympify(c).as_real_imag())
             _add(table, {tuple(map(_rational, th)): QQ_I(*re_im)})
-        return cls(d, table)
+        return cls(d, MappingProxyType(table))
 
     def to_float(self) -> dict:
         """The float view {theta floats: complex coefficient}."""
@@ -137,7 +138,9 @@ def diagonal(jet: Mapping) -> dict:
     return next((t for al, t in jet.items() if not any(al)), {})
 
 
-_J_MAX = 4  # the highest sigma_j: the jets grow fast with j
+def _require_j(j: int) -> None:
+    if j > 4:  # the jets grow fast with j
+        raise ValueError("sigma_j capped at j_max=4 (term algebra growth)")
 
 
 def _sigma_table(b: TrigPotential, j: int) -> dict:
@@ -145,8 +148,7 @@ def _sigma_table(b: TrigPotential, j: int) -> dict:
     (4^k k! (k+j)! (j-k)! Gamma(k+d/2+1)) * H^{k+j}(|z|^{2k}) at y = x.
     Each H lowers the z-degree by at most 2, so a z^alpha with |alpha| above
     twice the H's still to come never reaches z = 0 and is dropped."""
-    if j > _J_MAX:
-        raise ValueError("sigma_j capped at j_max=%d (term algebra growth)" % _J_MAX)
+    _require_j(j)
     d = b.dimension
     acc = {}
     for k in range(j + 1):
@@ -166,10 +168,12 @@ def sigma_j(b: TrigPotential, j: int) -> sp.Expr:
 
 
 def _sigma_a(b: TrigPotential, j: int):
-    """(const, table) with a_j = sigma_j / ((4 pi)^{d/2} Gamma(d/2 - j + 1))
-    = const * table; 1/Gamma at a non-positive integer is an exact 0."""
+    """(const, table) with a_j = const * table = sigma_j / ((4 pi)^{d/2}
+    Gamma(d/2 - j + 1)); at a 1/Gamma pole const = 0 and sigma_j is skipped."""
+    _require_j(j)
     h = sp.Rational(b.dimension, 2)
-    return 1 / ((4 * sp.pi) ** h * sp.gamma(h - j + 1)), _sigma_table(b, j)
+    const = 1 / ((4 * sp.pi) ** h * sp.gamma(h - j + 1))
+    return const, _sigma_table(b, j) if const else {}
 
 
 def a_from_sigma(b: TrigPotential, j: int) -> sp.Expr:
@@ -216,19 +220,15 @@ def mean_a(b: TrigPotential, j: int) -> sp.Expr:
 
 
 def discrepancy_report(b: TrigPotential, x: Sequence) -> dict:
-    """Verbatim sigma-engine a_1 versus the closed form at a point; the ratio
-    2/(d+2) is the known normalization gap of the verbatim k-sum, exact as
-    the quotient of the two tables where they are proportional."""
+    """Verbatim sigma-engine a_1 versus the closed form at a point.  The ratio
+    2/(d+2), exact as the quotient of the two tables: H 1 = b and
+    H^2 |z|^2 = -4d b at z = 0 make the verbatim sigma_1 a multiple of b."""
     d = b.dimension
     (kv, v), (kc, c) = _sigma_a(b, 1), _closed(b, 1)
     verbatim = at_point(_expr(kv, v, x_vars(d)), x)
     closed = at_point(_expr(kc, c, x_vars(d)), x)
-    ratio = None
-    if closed != 0:  # so c has a nonzero entry
-        r = next(v.get(t, QQ_I.zero) / q for t, q in c.items() if q)
-        exact = all(v.get(t, QQ_I.zero) == r * c.get(t, QQ_I.zero)
-                    for t in v.keys() | c.keys())
-        ratio = kv / kc * QQ_I.to_sympy(r) if exact else verbatim / closed
+    ratio = None if closed == 0 else kv / kc * QQ_I.to_sympy(  # c is nonzero
+        next(v.get(t, QQ_I.zero) / q for t, q in c.items() if q))
     return {
         "a1_verbatim": verbatim,
         "a1_closed_form": closed,

@@ -101,8 +101,12 @@ def test_mean_a1_from_fourier():
 
 
 def test_a_from_sigma_gamma_pole_is_zero():
-    # d = 2, j = 2: 1/Gamma(0) = 0 exactly
-    assert a_from_sigma(cosine_potential(2), 2) == 0
+    # d = 2, j = 2: 1/Gamma(0) = 0 exactly; j = 3, 4 too, and the cap on j
+    # holds at a pole all the same
+    for j in (2, 3, 4):
+        assert a_from_sigma(cosine_potential(2), j) == 0
+    with pytest.raises(ValueError):
+        a_from_sigma(cosine_potential(2), 5)
 
 
 def test_discrepancy_ratio():

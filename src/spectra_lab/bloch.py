@@ -6,20 +6,30 @@ function is a quasimomentum integral of eigenvector data.
 
 Two quadratures are provided:
   * plain midpoint k-grid (d = 1, 2, the baseline design), and
-  * an edge-corrected d=1 mode that sums complete bands by midpoint and
-    resolves the Fermi-crossing band by Brent's root finder plus Gauss
-    quadrature.  The plain grid carries O(1/N_k) jitter from the sharp
-    eigenvalue cut, which buries the lambda^{-3/2} residual signal.  Its
-    complete-band midpoint is O(Nh^-2) on and off the diagonal (ROADMAP
-    item 19): at b = 0.24 cos x, Nh = 128 it is off by 2.0e-9, 4.0e-10,
-    5.7e-11 and 6.6e-12 at x = y = 0 and lambda = 10, 30, 100 and 400, and
-    by 2.0e-7 at (x, y) = (0.3, 1.3).
+  * an edge-corrected d=1 mode that sums complete bands by an Nh-node
+    Gauss-Legendre rule on (0, 1/2) and resolves the Fermi-crossing band by
+    Brent's root finder plus Gauss quadrature.  The plain grid carries
+    O(1/N_k) jitter from the sharp eigenvalue cut, which buries the
+    lambda^{-3/2} residual signal.  A complete band's integrand is analytic
+    on (0, 1/2) but not periodic, so a midpoint rule converges there only
+    as O(Nh^-2), and the Gauss rule spectrally (Trefethen & Weideman, SIAM
+    Review 56, 2014).  Measured against a 1024-node reference on five
+    tables (b = 0.24 cos x, 0.4 cos x and the pentadiagonal, bandwidth-3
+    and complex golden tables, M_cut 60, x = 0, pi/2, pi and
+    (x, y) = (0.3, 1.3)), the default Nh = 32 is within 5.3e-15 for
+    lambda >= 100, 3.8e-5 on [10, 100] and 4.1e-5 on [1, 10]; 128 midpoints
+    were within 2.0e-7, 7.7e-5 and 1.5e-4.  The low ranges are where gaps
+    are tiny (the bandwidth-3 table's, or b = 0.24 cos x below lambda ~ 13,
+    where it is 6.2e-11 on [10, 100]): a band's vector turns within a
+    k-window about as wide as its gap, and neither rule resolves it
+    (ROADMAP item 19).
 
 A fiber is real whenever lattice_fourier returns a real table (every even
 potential).  In d = 1 it is banded with half-bandwidth max |theta|, and
 LAPACK serves its solves by route:
-  * every eigenpair below a cut (both midpoint grids, the oracle's grid and
-    band edges): the whole spectrum by divide and conquer, then the cut;
+  * every eigenpair below a cut (both midpoint grids, the oracle's
+    complete-band nodes and band edges): the whole spectrum by divide and
+    conquer, then the cut;
     stevd for a real tridiagonal fiber (a single cosine, or b = 0), sbevd for
     any other real fiber, hbevd for a complex one;
   * one eigenpair by index (the oracle's crossing energy, and a Gauss-node
@@ -30,20 +40,22 @@ LAPACK serves its solves by route:
   * the crossing band's Gauss-node vectors: two Rayleigh-quotient inverse
     iteration steps on every node at once, each one banded LU solve of the
     stacked shifted fibers (gtsv when tridiagonal, gbsv otherwise), from the
-    band's grid eigenvectors; each node is certified by its residual and
-    the band's edges (BlochOracle1D._node_vectors).
-BlochOracle1D keeps the grid eigenvectors and, per (band, lambda), the
-crossing point and the Gauss-node eigenvectors of the crossing band, so a
-later point x, y only forms amplitudes.  It keeps each eigenvector as its
-support window (_support_windows): the run of entries from the first to the
-last above tau = eps / (64 n), n = 2 M_cut + 1.  For a trigonometric
-polynomial b the Fourier components of a Bloch eigenvector decay faster than
-exponentially away from the few m with (k + m)^2 near its energy (Reed &
-Simon IV, XIII.16), so the windows are short: at most 22 of 441 entries on
-the grid of bhat(+-1) = 0.23, M_cut 220, lambda up to 1e4 (4.4 MB where the
-whole vectors took 92.6 MB), and at most 39 of 129 on bhat(+-1) = 0.15,
-bhat(+-2) = 0.05, M_cut 64, lambda up to 1e3.  Each entry dropped has
-magnitude at most tau, so an amplitude moves by less than eps / 64.
+    band's eigenvectors at the nearest complete-band node; each node is
+    certified by its residual and the band's edges
+    (BlochOracle1D._node_vectors).
+BlochOracle1D keeps the complete-band node eigenvectors and, per
+(band, lambda), the crossing point and the Gauss-node eigenvectors of the
+crossing band, so a later point x, y only forms amplitudes.  It keeps each
+eigenvector as its support window (_support_windows): the run of entries
+from the first to the last above tau = eps / (64 n), n = 2 M_cut + 1.  For
+a trigonometric polynomial b the Fourier components of a Bloch eigenvector
+decay faster than exponentially away from the few m with (k + m)^2 near its
+energy (Reed & Simon IV, XIII.16), so the windows are short: at most 22 of
+441 entries at the 32 complete-band nodes of bhat(+-1) = 0.23, M_cut 220,
+lambda up to 1e4 (1.1 MB; whole vectors at 128 nodes took 92.6 MB), and at
+most 39 of 129 on bhat(+-1) = 0.15, bhat(+-2) = 0.05, M_cut 64, lambda up
+to 1e3.  Each entry dropped has magnitude at most tau, so an amplitude
+moves by less than eps / 64.
 
 The plain midpoint has one path for every table with each theta on an axis
 (b = b_1(x_1) + ... + b_d(x_d): every d = 1 table, the axis tables of d = 2,
@@ -438,24 +450,28 @@ _KSTAR_RTOL = 4 * sys.float_info.epsilon
 
 
 class BlochOracle1D:
-    """High-accuracy d=1 spectral function: complete bands by midpoint over the
-    half Brillouin zone (doubled by k -> -k symmetry), the Fermi-crossing band
-    by root-finding plus Gauss-Legendre quadrature.  The crossing point k*
-    is the shared Brent root finder's root (roots.brent_root) of the band's
-    eigenvalue by index; a crossing within 1e-12 of 0 or 1/2 makes the band
-    empty or whole.  The Gauss-node eigenvectors come from one batched,
-    certified inverse iteration (_node_vectors).  Every eigenvector kept, on
-    the grid and at the Gauss nodes, is its support window
-    (_support_windows), and every amplitude is formed from the window
-    (_window_amp).  M_cut, Nh and gauss_nodes must be positive integers."""
+    """High-accuracy d=1 spectral function: complete bands by an Nh-node
+    Gauss-Legendre rule over the half Brillouin zone (0, 1/2) (doubled by
+    k -> -k symmetry), the Fermi-crossing band by root-finding plus a
+    gauss_nodes-node Gauss-Legendre rule.  The module docstring gives the
+    floors by lambda range: rounding for lambda >= 100 at the default Nh.
+    The crossing point k* is the shared Brent root finder's root
+    (roots.brent_root) of the band's eigenvalue by index; a crossing within
+    1e-12 of 0 or 1/2 makes the band empty or whole.  The Gauss-node
+    eigenvectors come from one batched, certified inverse iteration
+    (_node_vectors).  Every eigenvector kept, at the complete-band nodes and
+    at the Gauss nodes, is its support window (_support_windows), and every
+    amplitude is formed from the window (_window_amp).  M_cut, Nh and
+    gauss_nodes must be positive integers."""
 
-    def __init__(self, b, M_cut: int, Nh: int = 128, gauss_nodes: int = 48):
+    def __init__(self, b, M_cut: int, Nh: int = 32, gauss_nodes: int = 48):
         _check_sizes(M_cut=M_cut, Nh=Nh, gauss_nodes=gauss_nodes)
         self.four = lattice_fourier(b, 1)
         self.M_cut = M_cut
         self.Nh = Nh
         self.ms, self.bw = _banded_rep(self.four, M_cut)
-        self.kgrid = (np.arange(Nh) + 0.5) / (2 * Nh)  # midpoints of (0, 1/2)
+        x, w = np.polynomial.legendre.leggauss(Nh)  # mapped to (0, 1/2)
+        self.kgrid, self.kweights = 0.25 + 0.25 * x, 0.25 * w
         self.gx, self.gw = np.polynomial.legendre.leggauss(gauss_nodes)
         self._grid_spec = None   # lazily: per-k (energies, window starts, windows)
         self._edges = None       # band energies at k=0 and k=1/2
@@ -499,7 +515,7 @@ class BlochOracle1D:
         _check_ceiling(lam_max, self.M_cut)
         self._ensure_spectra(lam_max)
         Wg = self._band_weight_grid(x, y)
-        band_int = Wg.mean(axis=1) * 0.5          # int_0^{1/2} per band
+        band_int = Wg @ self.kweights             # int_0^{1/2} per band
         cum = np.concatenate([[0.0], np.cumsum(band_int)])
         e0, eh = self._edges
         band_lo = np.minimum(e0, eh)
@@ -547,9 +563,9 @@ class BlochOracle1D:
         Rayleigh-quotient inverse iteration on every node at once: the
         shifted fibers H(k_j) - sigma_j are stacked into one block-diagonal
         band matrix, zero at the block seams, so each step is one banded
-        solve.  A node starts from band n's eigenvector at the nearest grid
-        k, its grid window padded with zeros to the whole of ms, with sigma
-        interpolated from band n's grid energies and edges.
+        solve.  A node starts from band n's eigenvector at the nearest
+        complete-band node, its window padded with zeros to the whole of ms,
+        with sigma interpolated from band n's node energies and edges.
 
         Each node is then certified, else solved by index.  Its residual
         r = ||Hv - Ev|| must be at most eps ||H||_1: converged vectors were
@@ -559,16 +575,16 @@ class BlochOracle1D:
         n eps ||H||_1.  Some eigenvalue of H(k_j) lies within r of E
         (Parlett, The Symmetric Eigenvalue Problem, ch. 4), and in d = 1 no
         other band has energies there, so v is band n's."""
-        ms, bw, Nh = self.ms, self.bw, self.Nh
+        ms, bw, kgrid = self.ms, self.bw, self.kgrid
         size = ms.size
         ab = _fiber_bands(nodes, ms, self.four, bw)
         e0, eh = self._edges
-        grid = np.clip(np.rint(nodes * 2 * Nh - 0.5).astype(int), 0, Nh - 1)
+        grid = np.searchsorted(0.5 * (kgrid[1:] + kgrid[:-1]), nodes)  # nearest rule node
         vecs = np.zeros((nodes.size, size), dtype=ab.dtype)
         for row, i in zip(vecs, grid):
             _, start, V = self._grid_spec[i]
             row[start[n]:start[n] + V.shape[0]] = V[:, n]
-        sigma = np.interp(nodes, np.r_[0.0, self.kgrid, 0.5],
+        sigma = np.interp(nodes, np.r_[0.0, kgrid, 0.5],
                           np.r_[e0[n], [w[n] for w, _, _ in self._grid_spec], eh[n]])
         stacked = np.zeros((2 * bw + 1, nodes.size * size), dtype=ab.dtype)
         for t in range(1, bw + 1):

@@ -6,7 +6,6 @@ import argparse
 import math
 
 import numpy as np
-import sympy as sp
 
 from spectra_lab.bloch import BlochOracle1D
 from spectra_lab.heat import TrigPotential
@@ -22,10 +21,9 @@ def main():
     ap.add_argument("--points", type=int, default=80)
     args = ap.parse_args()
 
-    vq = sp.nsimplify(args.v, rational=True)
-    b = TrigPotential.build(1, {(1,): vq, (-1,): vq})
-    coeffs = coefficients_from_potential(b, 2)
-    oracle = BlochOracle1D({(1,): args.v, (-1,): args.v}, M_cut=args.mcut)
+    table = {(1,): args.v, (-1,): args.v}
+    coeffs = coefficients_from_potential(TrigPotential.build(1, table), 2)
+    oracle = BlochOracle1D(table, M_cut=args.mcut)
     ladder = np.geomspace(1e2, 1e4, args.points)
 
     vals = oracle.evaluate(ladder, args.x)

@@ -83,29 +83,27 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional
 
 import numpy as np
 from scipy.linalg import (LinAlgError, eig_banded, eigh, eigh_tridiagonal,
                           solve_banded)
 
-from .errors import NonHermitianPotential, NonLatticeFrequencies, TruncationCeiling
-from .frequency import hermitian_violations
+from .errors import NonLatticeFrequencies, TruncationCeiling, UnsupportedGenerators
+from .frequency import fourier_table
 from .roots import brent_root
 
 _EPS = np.finfo(float).eps
 
 
 def lattice_fourier(b: Mapping, d: int) -> dict:
-    """Normalize a potential to {integer coord tuple: coeff}.
+    """b's Fourier table (frequency.fourier_table) on the integer lattice,
+    {integer coord tuple: coeff}.
 
-    Accepts a mapping with tuple or FrequencyVector keys.  A theta whose
-    coefficient is 0 is not a frequency of b and is dropped unchecked.
-    Raises NonLatticeFrequencies unless all other frequencies lie on Z^d, and
-    then NonHermitianPotential unless b is real (`hermitian_violations`; the
-    fibers read only theta > 0, so a non-real b would otherwise be made real
-    without notice).
+    A key that fourier_table refuses (a surd theta, a wrong dimension) and a
+    non-integer theta raise NonLatticeFrequencies.  A non-real b raises
+    fourier_table's NonHermitianPotential: the fibers read only theta > 0,
+    so they would make it real without notice.
 
     The table comes back real (float coefficients, so real fibers) when every
     |Im c| <= eps |c|, eps the machine epsilon, and complex otherwise.  The
@@ -117,28 +115,15 @@ def lattice_fourier(b: Mapping, d: int) -> dict:
     """
     if not isinstance(b, Mapping):
         raise NonLatticeFrequencies("unsupported potential representation")
+    try:
+        table = fourier_table(b, d)
+    except (UnsupportedGenerators, ValueError) as e:
+        raise NonLatticeFrequencies(str(e)) from e
     out = {}
-    for th, c in b.items():
-        c = complex(c)
-        if c == 0:
-            continue
-        if hasattr(th, "coords"):
-            if any(s != 0 for _, s in th.coords):
-                raise NonLatticeFrequencies("surd frequency %r" % (th,))
-            th = tuple(a for a, _ in th.coords)
-        key = []
-        for t in th:
-            f = Fraction(t)
-            if f.denominator != 1:
-                raise NonLatticeFrequencies("non-integer frequency %r" % (th,))
-            key.append(int(f))
-        key = tuple(key)
-        if len(key) != d:
-            raise NonLatticeFrequencies("frequency dimension mismatch")
-        out[key] = out.get(key, 0.0 + 0.0j) + c
-    bad = hermitian_violations(out)
-    if bad:
-        raise NonHermitianPotential(bad[0])
+    for th, c in table.items():
+        if any(t.denominator != 1 for t in th):
+            raise NonLatticeFrequencies("non-integer frequency %r" % (th,))
+        out[tuple(map(int, th))] = complex(c)
     if all(abs(c.imag) <= _EPS * abs(c) for c in out.values()):
         return {th: c.real for th, c in out.items()}
     return out

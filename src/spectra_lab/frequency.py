@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedGenerators
+from .errors import NonHermitianPotential, UnsupportedGenerators
 from .exactalg import QSurd, dot, nullspace, qs, rank, rref
 
 
@@ -126,7 +127,7 @@ def freq(values: Sequence, basis: GeneratorBasis) -> FrequencyVector:
 
 
 def hermitian_violations(fourier: Mapping) -> list[str]:
-    """The frequencies theta of a Fourier table (FrequencyVector or integer
+    """The frequencies theta of a Fourier table (FrequencyVector or coordinate
     tuple keys) where |c(theta) - conj c(-theta)| <= 1e-14 fails, i.e. where
     b is not real-valued; a NaN coefficient fails too."""
     bad = []
@@ -138,9 +139,49 @@ def hermitian_violations(fourier: Mapping) -> list[str]:
     return bad
 
 
+def rational(v) -> Fraction:
+    """v exactly; a float (any real that is not rational) as its shortest
+    round-trip decimal, so 0.2 is 1/5."""
+    if isinstance(v, numbers.Real) and not isinstance(v, numbers.Rational):
+        v = repr(float(v))
+    return Fraction(v)
+
+
+def fourier_table(b: Mapping, d: int) -> dict:
+    """The Fourier table of a real potential b on R^d, {theta: c} with theta
+    a tuple of d Fractions; the one reading of a potential every layer shares.
+
+    - A key is a FrequencyVector or a coordinate tuple, each coordinate read
+      by `rational`; a surd frequency raises UnsupportedGenerators, and a
+      theta without exactly d coordinates raises ValueError.
+    - An entry with coefficient 0 is no frequency of b and is dropped
+      unchecked; so is a theta whose entries sum to 0.
+    - Equal theta are summed in input order; each coefficient keeps its type.
+    - NonHermitianPotential unless b is real (`hermitian_violations`).
+    """
+    out = {}
+    for th, c in b.items():
+        if not c:
+            continue
+        if isinstance(th, FrequencyVector):
+            if any(s for _, s in th.coords):
+                raise UnsupportedGenerators("surd frequency %r" % (th,))
+            th = tuple(a for a, _ in th.coords)
+        key = tuple(map(rational, th))
+        if len(key) != d:
+            raise ValueError("frequency %r has %d coordinates, not d = %d"
+                             % (th, len(key), d))
+        out[key] = out[key] + c if key in out else c
+    out = {th: c for th, c in out.items() if c}
+    bad = hermitian_violations(out)
+    if bad:
+        raise NonHermitianPotential(bad[0])
+    return out
+
+
 def potential_frequencies(potential: Mapping) -> list[FrequencyVector]:
     """The theta of a Fourier table {FrequencyVector: coeff} whose coefficient
-    is nonzero, the rule lattice_fourier applies, so that a zero entry does
+    is nonzero, the rule fourier_table applies, so that a zero entry does
     not change the zone geometry."""
     return [v for v, c in potential.items() if c != 0]
 

@@ -102,17 +102,6 @@ def _require_multiplication(b: Symbol):
             raise NonMultiplicationInput("gauge input must be xi-independent")
 
 
-def first_order_psi(b: Symbol, cf: CutoffFamily) -> Symbol:
-    """psi_1: hat psi_1(theta, xi) = i bhat(theta) chi_theta(xi)."""
-    _require_multiplication(b)
-    out = {}
-    for th, ex in b.coeffs.items():
-        if th.is_zero():
-            continue
-        out[th] = Prod([Const(1j), ex, cf.chi_expr(th)])
-    return Symbol(out)
-
-
 # -- graded symbol algebra: dict grade -> Symbol -------------------------------
 
 

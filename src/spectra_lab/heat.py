@@ -1,9 +1,10 @@
 """Local heat invariants sigma_j(x) and LDS expansion coefficients a_j(x) for
 trigonometric-polynomial potentials, computed exactly on one Fourier table
-{theta: c}, theta rational and c in Q(i).  A float c is the shortest decimal
-that round-trips to it, so a config's 0.2 is 1/5; a literal with more than
-17 significant digits is not read as written.  Results are rationals times a
-power of pi times cos/sin of <theta, x> (rational arguments at a point).
+{theta: c}: b's table as frequency.fourier_table reads it, with each c made
+exact in Q(i).  A float c is the shortest decimal that round-trips to it, so
+a config's 0.2 is 1/5; a literal with more than 17 significant digits is not
+read as written.  Results are rationals times a power of pi times cos/sin of
+<theta, x> (rational arguments at a point).
 
 Two routes: the verbatim k-sum for sigma_j, on jets z^alpha e^{i<theta, y>},
 z = x - y, read off at z = 0, and the closed forms for a_1, a_2.  They
@@ -23,16 +24,11 @@ from typing import Mapping, Sequence
 import sympy as sp
 from sympy.polys.domains import QQ_I
 
-from .errors import UnsupportedGenerators
+from .frequency import fourier_table, rational
 
 
 def x_vars(d: int):
     return sp.symbols("x0:%d" % d, real=True)
-
-
-def _rational(v) -> Fraction:
-    """v exactly; a float as its shortest round-trip decimal."""
-    return Fraction(repr(float(v)) if isinstance(v, (float, sp.Float)) else v)
 
 
 def _add(acc: dict, table: Mapping, scale=lambda th: 1) -> dict:
@@ -57,30 +53,18 @@ def _norm2(th) -> Fraction:
 @dataclass(frozen=True)
 class TrigPotential:
     """b(x) = sum_theta c_theta exp(i <theta, x>), rational theta and
-    Gaussian-rational c_theta, equal theta summed; the table is read-only."""
+    Gaussian-rational c_theta; the table is read-only."""
 
     dimension: int
     fourier: Mapping  # {theta Fractions tuple: QQ_I coefficient}
 
     @classmethod
     def build(cls, d: int, fourier: Mapping) -> "TrigPotential":
-        """`fourier` is keyed by coordinate tuples or FrequencyVector; a
-        frequency with a surd part raises UnsupportedGenerators."""
-        table = {}
-        for th, c in fourier.items():
-            if hasattr(th, "coords"):
-                if any(s != 0 for _, s in th.coords):
-                    raise UnsupportedGenerators(
-                        "TrigPotential needs rational frequencies, got %r" % (th,))
-                th = tuple(a for a, _ in th.coords)
-            re_im = map(_rational, sp.sympify(c).as_real_imag())
-            _add(table, {tuple(map(_rational, th)): QQ_I(*re_im)})
-        return cls(d, MappingProxyType(table))
-
-    def to_float(self) -> dict:
-        """The float view {theta floats: complex coefficient}."""
-        return {tuple(map(float, th)): complex(float(c.x), float(c.y))
-                for th, c in self.fourier.items()}
+        """b read by frequency.fourier_table, each coefficient made exact in
+        Q(i) by `rational`."""
+        return cls(d, MappingProxyType({
+            th: QQ_I(*map(rational, sp.sympify(c).as_real_imag()))
+            for th, c in fourier_table(fourier, d).items()}))
 
 
 def zero_potential(d: int) -> TrigPotential:
@@ -209,7 +193,7 @@ def closed_form_a(b: TrigPotential, j: int) -> sp.Expr:
 
 def at_point(expr: sp.Expr, x: Sequence) -> sp.Expr:
     """An x-dependent form at the point x, each coordinate taken exactly."""
-    pt = [sp.Rational(_rational(v)) for v in x]
+    pt = [sp.Rational(rational(v)) for v in x]
     return expr.xreplace(dict(zip(x_vars(len(x)), pt)))
 
 

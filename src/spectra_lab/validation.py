@@ -13,9 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (CoincidingPoints, ContourTooClose, DivergentSeries,
-                     NonHermitianPotential)
-from .frequency import hermitian_violations
+from .errors import CoincidingPoints, ContourTooClose, DivergentSeries
 from .roots import brent_root
 
 
@@ -41,19 +39,16 @@ class ExpansionCoefficients:
 
 def coefficients_from_potential(b, L: int) -> ExpansionCoefficients:
     """a_1 = c_1 b and a_2 = c_2 (3 b^2 - Delta b) of a trigonometric potential
-    b (a heat.TrigPotential), evaluated in numpy from its Fourier table, with
-    c_1 = -(d/2) C_d and c_2 = d (d - 2)/24 C_d, C_d = weyl_constant(d).
-    heat.closed_form_a is the exact form of both.  Raises ValueError for
-    L > 2 and NonHermitianPotential unless b is real-valued."""
+    b (a heat.TrigPotential, real since frequency.fourier_table read it),
+    evaluated in numpy from its Fourier table, with c_1 = -(d/2) C_d and
+    c_2 = d (d - 2)/24 C_d, C_d = weyl_constant(d).  heat.closed_form_a is
+    the exact form of both.  Raises ValueError for L > 2."""
     if L > 2:
         raise ValueError("closed forms available for L <= 2")
     d = b.dimension
-    table = b.to_float()
-    bad = hermitian_violations(table)
-    if bad:
-        raise NonHermitianPotential(bad[0])
-    thetas = np.array(list(table), dtype=float).reshape(-1, d)
-    coefs = np.array(list(table.values()), dtype=complex)
+    thetas = np.array(list(b.fourier) or np.empty((0, d)), dtype=float)
+    coefs = np.array([complex(float(c.x), float(c.y))
+                      for c in b.fourier.values()], dtype=complex)
     sq = (thetas ** 2).sum(axis=1)
     c1 = -d / 2.0 * weyl_constant(d)
     c2 = d * (d - 2) / 24.0 * weyl_constant(d)

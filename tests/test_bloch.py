@@ -16,7 +16,7 @@ from spectra_lab.bloch import (_WINDOW_EPS, BlochOracle1D, _banded_rep,
                                free_lds_d1, free_lds_d2, lattice_fourier,
                                spectral_function)
 from spectra_lab.errors import (NonHermitianPotential, NonLatticeFrequencies,
-                                TruncationCeiling)
+                                TruncationCeiling, UnsupportedGenerators)
 from spectra_lab.frequency import GeneratorBasis, freq
 from spectra_lab.heat import TrigPotential
 from spectra_lab.validation import (coefficients_from_potential, expansion_eval,
@@ -29,7 +29,7 @@ def test_lattice_fourier_normalization():
     four = lattice_fourier(MATHIEU, 1)
     assert four == {(1,): 0.3 + 0j, (-1,): 0.3 + 0j}
     with pytest.raises(NonLatticeFrequencies):
-        lattice_fourier({(0.5,): 1.0}, 1)
+        lattice_fourier({(0.5,): 1.0, (-0.5,): 1.0}, 1)
     # a theta at coefficient 0 is no frequency of b, on the lattice or off it
     half = freq([Fraction(1, 2)], GeneratorBasis(None))
     assert lattice_fourier({**MATHIEU, (0.5,): 0.0, half: 0j}, 1) == four
@@ -57,6 +57,39 @@ def test_lattice_fourier_normalization():
     assert all(type(c) is float for c in four.values())
     four = lattice_fourier({**tiny, (2,): 0.1 + 1e-16j, (-2,): 0.1 - 1e-16j}, 1)
     assert all(type(c) is complex for c in four.values())
+
+
+_BASIS = GeneratorBasis(None)
+
+
+@pytest.mark.parametrize("table, d", [
+    ({(1,): 0.3, (-1,): 0.3}, 1),
+    # equal theta under a FrequencyVector key and a tuple key are summed
+    ({freq([1], _BASIS): 0.2, freq([-1], _BASIS): 0.2, (1,): 0.1, (-1.0,): 0.1}, 1),
+    # zero entries, and a theta whose entries sum to 0, are no frequencies
+    ({(1, 0): 0.2, (-1, 0): 0.2, (0, 1): 0, (0.5, 0.5): 0j}, 2),
+    ({(1,): 0.3 + 0.1j, (-1,): 0.3 - 0.1j, freq([2], _BASIS): 0.1,
+      (2,): -0.1, (-2,): 0.0}, 1),
+])
+def test_potential_layers_keep_the_same_theta(table, d):
+    assert set(lattice_fourier(table, d)) == set(TrigPotential.build(d, table).fourier)
+
+
+@pytest.mark.parametrize("table, d, bloch_error, heat_error", [
+    ({(1,): 0.2, (-1,): 0.2}, 2, NonLatticeFrequencies, ValueError),
+    ({freq([(0, 1)], GeneratorBasis(2)): 1.0,
+      freq([(0, -1)], GeneratorBasis(2)): 1.0}, 1,
+     NonLatticeFrequencies, UnsupportedGenerators),
+    ({(1,): 0.2j}, 1, NonHermitianPotential, NonHermitianPotential),
+    ({(1,): math.nan, (-1,): math.nan}, 1,
+     NonHermitianPotential, NonHermitianPotential),
+])
+def test_potential_layers_reject_the_same_tables(table, d, bloch_error,
+                                                 heat_error):
+    with pytest.raises(bloch_error):
+        lattice_fourier(table, d)
+    with pytest.raises(heat_error):
+        TrigPotential.build(d, table)
 
 
 def test_fiber_free_diagonal():

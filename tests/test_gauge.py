@@ -8,8 +8,7 @@ import pytest
 
 from spectra_lab.errors import NonMultiplicationInput, ZeroFrequency
 from spectra_lab.frequency import algebraic_sum, freq
-from spectra_lab.gauge import (CutoffFamily, cutoff_eval, first_order_psi,
-                               run_gauge, verify_b3)
+from spectra_lab.gauge import CutoffFamily, cutoff_eval, run_gauge, verify_b3
 from spectra_lab.symbols import (Abs, Affine, Const, Iota, Prod, QuadShift,
                                  Quot, Sqrt, Sum, Symbol, XiGrid, is_symmetric,
                                  laplace_symbol, multiplication_symbol,
@@ -77,11 +76,11 @@ def test_cutoff_symmetry_identity(rational_basis, cf1, rng):
         assert np.abs(np.asarray(a) - np.asarray(b)).max() < 1e-12
 
 
-def test_first_order_psi_formula(rational_basis, cf1, rng):
+def test_first_order_psi_formula(rational_basis, cf1, mathieu1d, rng):
     cf, _ = cf1
     v = 0.37
     b = _mathieu(rational_basis, v)
-    psi1 = first_order_psi(b, cf)
+    psi1 = run_gauge(b, 1, cf, mathieu1d).psi[0]
     th = freq([1], rational_basis)
     xi = rng.uniform(0.5 * RHO, 4 * RHO, size=(100, 1))
     got = psi1.coeff(th).eval(xi)

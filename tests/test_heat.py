@@ -2,7 +2,7 @@ import pytest
 import sympy as sp
 from sympy.polys.domains import QQ_I
 
-from spectra_lab.errors import UnsupportedGenerators
+from spectra_lab.errors import NonHermitianPotential, UnsupportedGenerators
 from spectra_lab.frequency import GeneratorBasis, freq
 from spectra_lab.heat import (TrigPotential, a_from_sigma, apply_H, at_point,
                               closed_form_a, cosine_potential, diagonal,
@@ -90,6 +90,13 @@ def test_build_from_frequency_vectors():
     # a surd frequency is refused, never cut down to its rational part
     with pytest.raises(UnsupportedGenerators):
         TrigPotential.build(1, {freq([(1, 1)], basis): 1})
+    # a theta with fewer than d coordinates is refused, never reshaped into
+    # another theta
+    with pytest.raises(ValueError):
+        TrigPotential.build(2, {(1,): 0.2, (-1,): 0.2})
+    # a non-real b is refused, not given a complex "exact" a_1
+    with pytest.raises(NonHermitianPotential):
+        TrigPotential.build(1, {(1,): 0.2j})
 
 
 def test_mean_a1_from_fourier():

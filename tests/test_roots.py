@@ -160,6 +160,23 @@ check_contour_identity(random_family(3, 2, 1), (1.0, 4.0),
 loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
 assert not loaded, loaded
 """
+    _run_fresh(code)
+
+
+def test_zones_cli_imports_no_sympy_or_scipy():
+    """The CLI's zones path, frequency.fourier_table's module included, loads
+    neither sympy nor scipy."""
+    _run_fresh("""
+import sys
+from spectra_lab import cli
+assert cli.main(["zones", "--config", "configs/mathieu.json"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("sympy", "scipy"))
+assert not loaded, loaded
+""")
+
+
+def _run_fresh(code):
+    """Run code in a new interpreter on this checkout's src; it must exit 0."""
     src = os.path.join(REPO, "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src,

@@ -321,15 +321,32 @@ def _rational_relation_exists(vectors: Sequence[FrequencyVector]) -> bool:
     return len(nullspace(rows)) > 0
 
 
-@lru_cache(maxsize=None)
 def check_condition_A(S: FrequencySet, k_max: int):
     """Check Condition A on all d-tuples from the k_max-fold algebraic sum.
 
     Returns (True, None) on pass, (False, witness_tuple) on the first violation:
     a tuple that is really linearly dependent yet admits no integer relation.
-    Memoised per (S, k_max): S hashes by value, and every call with an equal
-    pair returns the same result object.
+    A ValueError unless k_max >= 1.
+
+    A set without a surd generator passes with no work, by linear algebra
+    over Q: its frequencies are rational vectors, and a rational d-tuple that
+    is linearly dependent over R is dependent over Q (a rational matrix has
+    the same rank over Q and over R), so clearing denominators gives an
+    integer relation.  A set with sqrt(D) runs the exact loop, memoised per
+    (S, k_max).
     """
+    if k_max < 1:
+        raise ValueError("k must be >= 1")
+    if S.basis.surd_D is None:
+        return True, None
+    return _condition_A_exact(S, k_max)
+
+
+@lru_cache(maxsize=None)
+def _condition_A_exact(S: FrequencySet, k_max: int):
+    """check_condition_A by exact Q(sqrt(D)) rank and nullspace on every
+    d-tuple of Theta_k_max.  S hashes by value, and every call with an equal
+    pair returns the same result object."""
     d = S.dimension
     big = algebraic_sum(S, k_max)
     candidates = big.nonzero()

@@ -36,6 +36,7 @@ from .symbols import (
     Sum,
     Symbol,
     XiGrid,
+    _SharedMemo,
     class_norm,
     compose,
     laplace_symbol,
@@ -234,8 +235,7 @@ def verify_b3(out: GaugeOutput, samples: np.ndarray, S: FrequencySet, zp) -> dic
     exempt."""
     samples = np.asarray(samples, dtype=float)
     L1 = zp.L(1)
-    violations = []
-    checked = 0
+    masked = []
     for th, ex in out.w.coeffs.items():
         if th.is_zero():
             continue
@@ -244,9 +244,14 @@ def verify_b3(out: GaugeOutput, samples: np.ndarray, S: FrequencySet, zp) -> dic
         proj_xi = np.abs(samples @ t) / nt
         proj_xt = np.abs((samples + t) @ t) / nt
         mask = (proj_xi > L1) | (proj_xt > L1)
-        if not mask.any():
-            continue
-        vals = np.abs(ex.eval(samples[mask]))
+        if mask.any():
+            masked.append((t, ex, mask))
+    # the coefficients share one DAG: evaluate each node once on all samples
+    memo = _SharedMemo([ex for _, ex, _ in masked])
+    violations = []
+    checked = 0
+    for t, ex, mask in masked:
+        vals = np.abs(ex._memo(samples, memo)[mask])
         checked += int(mask.sum())
         bad = vals > B3_TOL
         if bad.any():

@@ -1,10 +1,11 @@
 """Local heat invariants sigma_j(x) and LDS expansion coefficients a_j(x) for
 trigonometric-polynomial potentials, computed exactly on one Fourier table
 {theta: c}: b's table as frequency.fourier_table reads it, with each c made
-exact in Q(i).  A float c is the shortest decimal that round-trips to it, so
-a config's 0.2 is 1/5; a literal with more than 17 significant digits is not
-read as written.  Results are rationals times a power of pi times cos/sin of
-<theta, x> (rational arguments at a point).
+exact in Q(i) and each +-theta pair made exactly Hermitian.  A float c is
+the shortest decimal that round-trips to it, so a config's 0.2 is 1/5; a
+literal with more than 17 significant digits is not read as written.  Results
+are rationals times a power of pi times cos/sin of <theta, x> (rational
+arguments at a point).
 
 Two routes: the verbatim k-sum for sigma_j, on jets z^alpha e^{i<theta, y>},
 z = x - y, read off at z = 0, and the closed forms for a_1, a_2.  They
@@ -61,10 +62,21 @@ class TrigPotential:
     @classmethod
     def build(cls, d: int, fourier: Mapping) -> "TrigPotential":
         """b read by frequency.fourier_table, each coefficient made exact in
-        Q(i) by `rational`."""
-        return cls(d, MappingProxyType({
-            th: QQ_I(*map(rational, sp.sympify(c).as_real_imag()))
-            for th, c in fourier_table(fourier, d).items()}))
+        Q(i) by `rational`, then each pair replaced by its exact Hermitian
+        mean (c(theta) + conj c(-theta))/2.  fourier_table lets c(theta) and
+        conj c(-theta) differ by 1e-14; the mean is the real part of b, so an
+        "exact" result stays real.  A Hermitian table is kept as it is."""
+        exact = {th: QQ_I(*map(rational, sp.sympify(c).as_real_imag()))
+                 for th, c in fourier_table(fourier, d).items()}
+        table = {}
+        for th in [*exact, *(tuple(-t for t in th) for th in exact)]:
+            if th in table:
+                continue
+            c = exact.get(th, QQ_I.zero)
+            n = exact.get(tuple(-t for t in th), QQ_I.zero)
+            n = QQ_I(n.x, -n.y)
+            table[th] = c if c == n else (c + n) / 2
+        return cls(d, MappingProxyType({th: c for th, c in table.items() if c}))
 
 
 def zero_potential(d: int) -> TrigPotential:

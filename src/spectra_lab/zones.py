@@ -11,13 +11,18 @@ every per-point query from tables, with floats, indices and integer tuples
 only:
   * the subspaces of S by index, ordered by dimension so that each child
     precedes its parents; each subspace's children (the subspaces of one
-    dimension less inside it) as (index, unit normal nu, L_m); and a boolean
-    table of which subspace contains which.  Xi_1-membership of a point is
-    one pass over this list, each child read rather than recomputed, and the
-    label is the largest hit (or the sum of the hits, should it not contain
-    them all);
-  * the closure steps of each theta in S as (float theta, |theta|, moves
-    (l, l * key)) for 0 < |l| <= ceil(2 L_1 / |theta|).  The integer key of
+    dimension less inside it), whose unit normals nu are rows of the query
+    matrix with their L_m beside; and a boolean table of which subspace
+    contains which.  A query takes one product of that matrix with xi,
+    which gives the pattern of rows with |<xi, nu>| <= L_m, and reads its
+    Xi_1-memberships and label from a table keyed by the pattern.  A new
+    pattern is resolved once, by one pass over the subspaces, each child
+    read rather than recomputed; the label is the largest hit (or the sum
+    of the hits, should it not contain them all);
+  * the closure steps of each theta in S as (float theta, |theta|, the l
+    column, keys l * key) for 0 < |l| <= ceil(2 L_1 / |theta|), the float
+    thetas the remaining rows of the query matrix, so that the product that
+    labels a point also gives its slab tests.  The integer key of
     theta is its exact coordinates, rational and surd parts, times the common
     denominator of S.  That map is injective and linear, so an offset
     sum_k l_k theta_k is keyed exactly by the integer tuple sum_k l_k key_k,
@@ -28,7 +33,9 @@ only:
 The float steps (eta + l theta and the slab projections) and the order in
 which the closure visits points are part of the result: class points are
 the float images reached first, in that order, and tests/golden pins them
-to the bit.
+to the bit.  Every projection <xi, u> is one np.vecdot row, which takes
+the dot of each row alone, so it has the bits of xi @ u, boundary cases
+included.
 """
 
 from __future__ import annotations
@@ -128,14 +135,20 @@ class ZoneGeometry:
         self._index = {V: i for i, V in enumerate(subs)}
         self._ids = {id(V): i for i, V in enumerate(subs)}
         self._contains = [[V.contains_subspace(W) for W in subs] for V in subs]
-        # children of V: subspaces of dim(V)-1 contained in V, with the unit
-        # normal nu spanning V ominus child and the confinement scale L_m
-        self._children = []
+        # children of V: subspaces of dim(V)-1 contained in V, each with the
+        # unit normal nu spanning V ominus child and the confinement scale
+        # L_m; the normals are stacked as the rows of one matrix, so a query
+        # takes one product, and _children[i] holds (child index, row) pairs
+        normals, scales, self._children = [], [], []
         for i, V in enumerate(subs):
             m = V.dimension
-            self._children.append(tuple(
-                (j, self._unit_complement(V, W), zp.L(m)) for j, W in enumerate(subs)
-                if W.dimension == m - 1 and self._contains[i][j]))
+            kids = []
+            for j, W in enumerate(subs):
+                if W.dimension == m - 1 and self._contains[i][j]:
+                    kids.append((j, len(normals)))
+                    normals.append(self._unit_complement(V, W))
+                    scales.append(zp.L(m))
+            self._children.append(tuple(kids))
         self._L1 = zp.L(1)
         nonzero = S.nonzero()
         denom = math.lcm(1, *(x.denominator for t in nonzero
@@ -149,11 +162,21 @@ class ZoneGeometry:
                 continue  # -theta's moves land on theta's points, by value and offset
             keys.add(key)
             tf = t.to_float()
-            nrm = np.linalg.norm(tf)
+            nrm = float(np.linalg.norm(tf))
             lmax = int(math.ceil(2.0 * self._L1 / nrm))
-            moves = tuple((l, tuple(l * k for k in key))
-                          for l in range(-lmax, lmax + 1) if l != 0)
-            self._steps.append((tf, nrm, moves))
+            ls = [l for l in range(-lmax, lmax + 1) if l != 0]
+            self._steps.append((tf, nrm, np.array(ls, dtype=float)[:, None],
+                                tuple(tuple(l * k for k in key) for l in ls)))
+        # one matrix for every query: the child normals nu, each tested as
+        # |<xi, nu>| / 1 <= L_m, then the step thetas, each tested as the
+        # slab |<xi, theta>| / |theta| <= L_1
+        self._nkids = len(normals)
+        self._rows = np.array(normals + [tf for tf, _, _, _ in self._steps]
+                              ).reshape(-1, self.d)
+        self._div = np.array([1.0] * self._nkids + [nrm for _, nrm, _, _ in self._steps])
+        self._bound = np.array(scales + [self._L1] * len(self._steps))
+        # (hit, label) per pattern of row tests, filled as patterns occur
+        self._patterns = {}
 
     @staticmethod
     def _unit_complement(V: QuasiLatticeSubspace, W: QuasiLatticeSubspace) -> np.ndarray:
@@ -175,56 +198,64 @@ class ZoneGeometry:
 
     # -- membership tests ---------------------------------------------------
 
-    def _xi1(self, xi: np.ndarray) -> list[bool]:
-        """hit[i] = xi in Xi_1(subspaces[i]): some flag of the subspace confines
-        xi at every level.  Children precede parents, so each is read, not
-        recomputed; dim 0 has no children and always holds.  Every query
-        passes here once: a ValueError unless the float array xi has d finite
-        coordinates."""
+    def _flags(self, xi: np.ndarray) -> np.ndarray:
+        """The row tests at xi, from one product with the stacked matrix."""
+        return np.abs(np.vecdot(self._rows, xi)) / self._div <= self._bound
+
+    def _query(self, xi: np.ndarray) -> tuple:
+        """(hit, label, row tests) for a float array xi: hit[i] = xi in
+        Xi_1(subspaces[i]) and label the index of the unique V with xi in
+        Xi(V), read from the table of row-test patterns.  Every query passes
+        here once: a ValueError unless xi has d finite coordinates, checked
+        before any arithmetic."""
         if xi.shape != (self.d,) or not all(map(math.isfinite, xi.tolist())):
             raise ValueError("xi needs %d finite coordinates, got %r" % (self.d, xi))
+        flags = self._flags(xi)
+        key = flags.tobytes()
+        out = self._patterns.get(key)
+        if out is None:
+            out = self._patterns[key] = self._resolve(flags.tolist())
+        return out + (flags,)
+
+    def _resolve(self, near: list) -> tuple:
+        """(hit, label) for a pattern of row tests; near[r] for a child row r
+        is |<xi, nu_r>| <= L_m.
+
+        xi is in Xi_1(V) when some flag of V confines it at every level:
+        children precede parents, so each child's hit is read, not
+        recomputed; dim 0 has no children and always holds.  The label is
+        the largest hit; the set of hits is closed under sums, so it contains
+        all others, and should it not, the label is the sum of the hits, the
+        first (least-dimensional) subspace that contains them all."""
         hit = []
         for kids in self._children:
-            h = not kids
-            for j, nu, Lm in kids:
-                if hit[j] and abs(float(xi @ nu)) <= Lm:
-                    h = True
-                    break
-            hit.append(h)
-        return hit
-
-    def in_xi1(self, V: QuasiLatticeSubspace, xi: np.ndarray) -> bool:
-        """xi in Xi_1(V): some flag of V confines xi at every level."""
-        return self._xi1(np.asarray(xi, dtype=float))[self._position(V)]
-
-    def in_xi(self, V: QuasiLatticeSubspace, xi: np.ndarray) -> bool:
-        """xi in Xi(V) per the subtraction rule: in Xi_1(V), not in Xi_1(U) for U not<= V."""
-        i = self._position(V)
-        hit = self._xi1(np.asarray(xi, dtype=float))
-        contains = self._contains[i]
-        return hit[i] and not any(h and not c for h, c in zip(hit, contains))
-
-    def _label(self, xi: np.ndarray) -> int:
-        """Index of the unique V with xi in Xi(V) (maximal Xi_1-membership),
-        for a float array xi."""
-        hits = [i for i, h in enumerate(self._xi1(xi)) if h]
+            hit.append(not kids or any(hit[j] and near[r] for j, r in kids))
+        hits = [i for i, h in enumerate(hit) if h]
         dims = self._dims
         best = hits[0]
         for i in hits[1:]:
             if dims[i] > dims[best]:
                 best = i
-        # the set of hits is closed under sums, so the max-dimensional hit
-        # contains all others; fall back to the sum of the hits, the first
-        # (least-dimensional) subspace that contains them all, if it does not
         if not all(self._contains[best][i] for i in hits):
             best = next(j for j, row in enumerate(self._contains)
                         if all(row[i] for i in hits))
-        return best
+        return tuple(hit), best
+
+    def in_xi1(self, V: QuasiLatticeSubspace, xi: np.ndarray) -> bool:
+        """xi in Xi_1(V): some flag of V confines xi at every level."""
+        return self._query(np.asarray(xi, dtype=float))[0][self._position(V)]
+
+    def in_xi(self, V: QuasiLatticeSubspace, xi: np.ndarray) -> bool:
+        """xi in Xi(V) per the subtraction rule: in Xi_1(V), not in Xi_1(U) for U not<= V."""
+        i = self._position(V)
+        hit = self._query(np.asarray(xi, dtype=float))[0]
+        contains = self._contains[i]
+        return hit[i] and not any(h and not c for h, c in zip(hit, contains))
 
     def classify_point(self, xi: np.ndarray) -> ZoneLabel:
         """The unique V with xi in Xi(V) (maximal Xi_1-membership); a
         ValueError unless xi has d finite coordinates."""
-        return self._labels[self._label(np.asarray(xi, dtype=float))]
+        return self._labels[self._query(np.asarray(xi, dtype=float))[1]]
 
     # -- congruence classes --------------------------------------------------
 
@@ -236,7 +267,7 @@ class ZoneGeometry:
         ClassBoundExceeded at the first point farther out; CapExceeded past
         CLOSURE_CAP points stays as the safety net."""
         xi = np.asarray(xi, dtype=float)
-        label = self._label(xi)
+        _, label, flags = self._query(xi)
         m = self._dims[label]
         reach = 2.0 * m * self.zp.L(m) if m else 0.0
         L1 = self._L1
@@ -246,13 +277,15 @@ class ZoneGeometry:
             new = []
             for off in frontier:
                 pt = seen[off]
-                for tf, nrm, moves in self._steps:
-                    proj = float(pt @ tf) / nrm
-                    if abs(proj) > L1:
+                # the seed's row tests came with its label
+                inside = (flags if pt is xi else self._flags(pt))[self._nkids:]
+                for (tf, nrm, ls, lkeys), ok in zip(self._steps, inside.tolist()):
+                    if not ok:
                         continue
-                    for l, lkey in moves:
-                        q = pt + l * tf
-                        if abs(float(q @ tf)) / nrm > L1:
+                    moved = pt + ls * tf
+                    keep = np.abs(np.vecdot(moved, tf)) / nrm <= L1
+                    for q, lkey, k in zip(moved, lkeys, keep.tolist()):
+                        if not k:
                             continue
                         noff = tuple(map(operator.add, off, lkey))
                         if noff not in seen:

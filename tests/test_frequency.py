@@ -96,14 +96,15 @@ def test_condition_A_d1_always(mathieu1d):
     assert ok
 
 
-def test_condition_A_memoised(monkeypatch, rational_basis):
-    """An equal (S, k_max) runs the exact ranks once: the second call, on an
-    equal but distinct S, does no rank work and returns the same object."""
+def test_condition_A_memoised(monkeypatch, surd2_basis):
+    """On a sqrt(2) set an equal (S, k_max) runs the exact ranks once: the
+    second call, on an equal but distinct S, does no rank work and returns
+    the same object."""
     import spectra_lab.frequency as frequency
 
     # a set no other test checks, so the first call is not yet memoised
-    S, T = (FrequencySet.build(2, rational_basis, [
-        freq([3, 0], rational_basis), freq([1, 5], rational_basis)])
+    S, T = (FrequencySet.build(2, surd2_basis, [
+        freq([3, 0], surd2_basis), freq([1, (0, 5)], surd2_basis)])
         for _ in range(2))
     assert S == T and S is not T
     calls = []
@@ -120,6 +121,43 @@ def test_condition_A_memoised(monkeypatch, rational_basis):
     again = check_condition_A(T, 2)
     assert not calls
     assert again is first and first == (True, None)
+
+
+def test_condition_A_lattice_does_no_rank_work(monkeypatch, rational_basis):
+    """A set without a surd generator passes without building Theta_k or
+    taking a rank; k_max < 1 still raises."""
+    import spectra_lab.frequency as frequency
+
+    S = FrequencySet.build(3, rational_basis, [
+        freq([2, 0, 1], rational_basis), freq([0, 7, 0], rational_basis),
+        freq([1, 1, 3], rational_basis)])
+    calls = []
+    for name in ("rank", "algebraic_sum"):
+        monkeypatch.setattr(frequency, name,
+                            lambda *a, name=name: calls.append(name))
+    assert check_condition_A(S, 4) == (True, None)
+    assert not calls
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            check_condition_A(S, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_condition_A_exact_loop_passes_lattice_sets(data):
+    """The exact loop agrees with the lattice shortcut: on random small
+    integer sets in d = 2 and 3 it finds an integer relation for every
+    dependent d-tuple."""
+    from spectra_lab.frequency import _condition_A_exact
+
+    d = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(1, 3))
+    basis = GeneratorBasis(None)
+    gens = [freq(data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)),
+                 basis) for _ in range(n)]
+    S = FrequencySet.build(d, basis, gens, require_spanning=False)
+    k = data.draw(st.integers(1, 2 if d == 2 else 1))
+    assert _condition_A_exact(S, k) == (True, None)
 
 
 def test_enumerate_subspaces(axes2d):

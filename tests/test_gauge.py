@@ -8,7 +8,8 @@ import pytest
 
 from spectra_lab.errors import NonMultiplicationInput, ZeroFrequency
 from spectra_lab.frequency import algebraic_sum, freq
-from spectra_lab.gauge import CutoffFamily, cutoff_eval, run_gauge, verify_b3
+from spectra_lab.gauge import (CutoffFamily, GaugeOutput, cutoff_eval, run_gauge,
+                               verify_b3)
 from spectra_lab.symbols import (Abs, Affine, Const, Iota, Prod, QuadShift,
                                  Quot, Sqrt, Sum, Symbol, XiGrid, is_symmetric,
                                  laplace_symbol, multiplication_symbol,
@@ -158,6 +159,70 @@ def test_verify_b3_mathieu(rational_basis, cf1, mathieu1d, rng):
     assert rep["passed"]
     assert rep["checked"] > 0
     assert rep["tol"] == 1e-12
+
+
+def test_verify_b3_flags_nonzero_w_off_the_slab(rational_basis):
+    """A hand-built w with a nonzero constant at theta = 1: every sample where
+    xi or xi + 1 leaves the slab |xi| <= L_1 (13.34 at rho_n = 1000) is a
+    violation; theta = -1's constant is below B3_TOL and theta = 0 is exempt."""
+    zp = ZoneParameters.create(RHO, 1)
+    one = freq([1], rational_basis)
+    w = Symbol({one: Const(2e-12), -one: Const(1e-13), one - one: Const(5.0)})
+    out = GaugeOutput(psi=[], w=w, diagnostics={})
+    pts = np.array([[0.0], [5.0], [100.0], [-200.0], [13.0]])
+    rep = verify_b3(out, pts, None, zp)
+    # theta = 1 checks 100, -200 and 13 (13 + 1 leaves); theta = -1 checks
+    # 100 and -200
+    assert rep["checked"] == 5
+    assert rep["violations"] == [
+        {"theta": (1.0,), "xi": (100.0,), "abs_w": 2e-12},
+        {"theta": (1.0,), "xi": (-200.0,), "abs_w": 2e-12},
+        {"theta": (1.0,), "xi": (13.0,), "abs_w": 2e-12}]
+    assert not rep["passed"]
+
+
+def _b3_per_theta(out, samples, zp):
+    """verify_b3's checked count and violations, each theta evaluated alone."""
+    L1 = zp.L(1)
+    checked, violations = 0, []
+    for th, ex in out.w.coeffs.items():
+        if th.is_zero():
+            continue
+        t = th.to_float()
+        nt = np.linalg.norm(t)
+        mask = (np.abs(samples @ t) / nt > L1) | (np.abs((samples + t) @ t) / nt > L1)
+        if not mask.any():
+            continue
+        vals = np.abs(ex.eval(samples[mask]))
+        checked += int(mask.sum())
+        for i, v in zip(np.where(mask)[0], vals):
+            if v > 1e-12:
+                violations.append({"theta": tuple(t), "xi": tuple(samples[i]),
+                                   "abs_w": float(v)})
+    return checked, violations
+
+
+def test_verify_b3_matches_per_theta_loop(axes2d, rational_basis):
+    """On the axes2d gauge at ktilde = 3, and on its w plus 1e-15 |xi + theta|^2
+    at every theta (which breaks b3 off the slab), the shared-memo
+    verify_b3 reports what evaluating each theta alone does."""
+    e1, e2 = freq([1, 0], rational_basis), freq([0, 1], rational_basis)
+    b = multiplication_symbol({e1: 0.3, -e1: 0.3, e2: 0.25, -e2: 0.25})
+    zp = ZoneParameters.create(RHO, 2, ktilde=3)
+    out = run_gauge(b, 3, CutoffFamily(RHO, zp.beta), axes2d)
+    pts = sample_annulus(2, RHO, 300, np.random.default_rng(7))
+    bent = GaugeOutput(psi=out.psi, diagnostics={}, w=Symbol({
+        th: Sum([ex, Prod([Const(1e-15), QuadShift(th.to_float())])])
+        for th, ex in out.w.coeffs.items()}))
+    reps = []
+    for o in (out, bent):
+        rep = verify_b3(o, pts, axes2d, zp)
+        checked, violations = _b3_per_theta(o, pts, zp)
+        assert checked > 0 and rep["checked"] == checked
+        assert rep["violations"] == violations
+        reps.append(rep)
+    assert reps[0]["passed"]
+    assert len(reps[1]["violations"]) == reps[1]["checked"] == reps[0]["checked"]
 
 
 def test_norm_ladder_decreases(rational_basis, cf1, mathieu1d, rng):

@@ -3,12 +3,12 @@ import sympy as sp
 from sympy.polys.domains import QQ_I
 
 from spectra_lab.errors import NonHermitianPotential, UnsupportedGenerators
-from spectra_lab.frequency import GeneratorBasis, freq
+from spectra_lab.frequency import GeneratorBasis, freq, rational
 from spectra_lab.heat import (TrigPotential, a_from_sigma, apply_H, at_point,
                               closed_form_a, cosine_potential, diagonal,
                               discrepancy_report, mean_a, sigma_j,
-                              unit_ball_volume, weyl_constant, z_norm_jet,
-                              zero_potential)
+                              unit_ball_volume, weyl_constant, x_vars,
+                              z_norm_jet, zero_potential)
 
 
 def _mathieu():
@@ -97,6 +97,22 @@ def test_build_from_frequency_vectors():
     # a non-real b is refused, not given a complex "exact" a_1
     with pytest.raises(NonHermitianPotential):
         TrigPotential.build(1, {(1,): 0.2j})
+
+
+def test_build_keeps_the_hermitian_mean():
+    """fourier_table lets c(theta) and conj c(-theta) differ by 1e-14; build
+    keeps their exact mean, so the "exact" a_1 of a nearly real b is real
+    (it was -(2/5 + I/125000000000000) cos(x0)/(2 pi))."""
+    b = TrigPotential.build(1, {(1,): 0.2 + 4e-15j, (-1,): 0.2 + 4e-15j})
+    assert b == cosine_potential(1, sp.Rational(1, 5))
+    a1 = closed_form_a(b, 1)
+    assert sp.im(a1) == 0
+    assert a1 == -sp.cos(x_vars(1)[0]) / (5 * sp.pi)
+    # a lone theta below 1e-14 gets its conjugate partner: b = -4e-15 sin x
+    half = rational(4e-15) / 2
+    lone = TrigPotential.build(1, {(1,): 4e-15j})
+    assert dict(lone.fourier) == {(1,): QQ_I(0, half), (-1,): QQ_I(0, -half)}
+    assert sp.im(closed_form_a(lone, 1)) == 0
 
 
 def test_mean_a1_from_fourier():

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,158 @@ def test_congruence_cap_exceeded(axes2d, axes_geom, zp2, monkeypatch):
     with pytest.raises(CapExceeded) as err:
         axes_geom.congruence_class(np.zeros(2))
     assert type(err.value) is CapExceeded
+
+
+# -- the stacked query kernel against a per-child-dot reference ------------------
+
+
+def _dot(u, xi):
+    return float(xi @ u)
+
+
+def _reference_label(geom, xi):
+    """The subspace index of xi, one child at a time: xi is in Xi_1(V) when a
+    child W of V holds xi and |<xi, nu>| <= L_m for the unit normal nu of V
+    ominus W; the label is the first hit of largest dimension."""
+    subs, hit = geom.subspaces, []
+    for V in subs:
+        m = V.dimension
+        kids = [j for j, W in enumerate(subs)
+                if W.dimension == m - 1 and V.contains_subspace(W)]
+        hit.append(not kids or any(
+            hit[j] and abs(_dot(ZoneGeometry._unit_complement(V, subs[j]), xi))
+            <= geom.zp.L(m) for j in kids))
+    hits = [i for i, h in enumerate(hit) if h]
+    best = max(hits, key=lambda i: subs[i].dimension)
+    assert all(subs[best].contains_subspace(subs[i]) for i in hits)
+    return best
+
+
+def _reference_steps(S, L1):
+    """(float theta, |theta|, l range) of each theta of S whose negation
+    comes later in S's order."""
+    steps, taken = [], set()
+    for t in S.nonzero():
+        if -t in taken:
+            continue
+        taken.add(t)
+        tf = t.to_float()
+        nrm = float(np.linalg.norm(tf))
+        lmax = math.ceil(2.0 * L1 / nrm)
+        steps.append((tf, nrm, [l for l in range(-lmax, lmax + 1) if l]))
+    return steps
+
+
+def _reference_class(geom, xi):
+    """The closure of xi, one dot per step and per move, keyed by the count
+    of each step (the thetas of both sets here are independent over Q)."""
+    L1 = geom.zp.L(1)
+    steps = _reference_steps(geom.S, L1)
+    zero = (0,) * len(steps)
+    seen, frontier = {zero: xi}, [zero]
+    while frontier:
+        new = []
+        for off in frontier:
+            pt = seen[off]
+            for k, (tf, nrm, ls) in enumerate(steps):
+                if abs(_dot(tf, pt)) / nrm > L1:
+                    continue
+                for l in ls:
+                    q = pt + l * tf
+                    if abs(_dot(tf, q)) / nrm > L1:
+                        continue
+                    noff = off[:k] + (off[k] + l,) + off[k + 1:]
+                    if noff not in seen:
+                        seen[noff] = q
+                        new.append(noff)
+        frontier = new
+    return [tuple(p) for p in seen.values()]
+
+
+def _straddle(xi0, u, inside):
+    """Four points around the boundary of inside() near xi0: the pair one ulp
+    apart, along the coordinate where the unit vector u is largest, on which
+    inside() flips, and one more ulp beyond each."""
+    c = int(np.argmax(np.abs(u)))
+    out = math.copysign(math.inf, u[c] * _dot(u, xi0))
+    back = -out
+    xi = xi0.copy()
+    start = inside(xi)
+    path = [xi.copy()]
+    for _ in range(10000):
+        xi[c] = np.nextafter(xi[c], out if start else back)
+        path.append(xi.copy())
+        if inside(xi) != start:
+            break
+    else:
+        raise AssertionError("no boundary near %r" % (xi0,))
+    a, b = path[-2], path[-1]
+    before, after = a.copy(), b.copy()
+    before[c] = np.nextafter(a[c], back if start else out)
+    after[c] = np.nextafter(b[c], out if start else back)
+    assert inside(a) != inside(b)
+    return [before, a, b, after]
+
+
+def _boundary_points(geom):
+    """Points one ulp either side of |<xi, nu>| = L_m for every child normal
+    nu, and of |<xi, theta>| / |theta| = L_1 for every step theta, for the
+    seed and for its move by l = 1 and 2."""
+    subs, zp = geom.subspaces, geom.zp
+    perp = lambda u: np.array([-u[1], u[0]])
+    pts = []
+    for V in subs:
+        m = V.dimension
+        for W in subs:
+            if W.dimension != m - 1 or not V.contains_subspace(W):
+                continue
+            nu = ZoneGeometry._unit_complement(V, W)
+            # a line's slab in the annulus; the origin's box for the plane
+            along = 1500.0 if m == 1 else 0.5
+            for sign in (1.0, -1.0):
+                xi0 = sign * zp.L(m) * nu + along * perp(nu)
+                pts += _straddle(xi0, nu, lambda xi, nu=nu, m=m:
+                                 abs(_dot(nu, xi)) <= zp.L(m))
+    L1 = zp.L(1)
+    for tf, nrm, _ in _reference_steps(geom.S, L1):
+        u = tf / nrm
+        for k in (0, 1, 2):
+            for sign in (1.0, -1.0):
+                xi0 = sign * (L1 - k * nrm) * u + 1500.0 * perp(u)
+                pts += _straddle(xi0, u, lambda xi, tf=tf, nrm=nrm, k=k:
+                                 abs(_dot(tf, xi + sign * k * tf)) / nrm <= L1)
+    return pts
+
+
+@pytest.mark.parametrize("name", ["axes2d", "surd2"])
+def test_queries_match_per_child_reference(axes_geom, zp2, name):
+    geom = axes_geom if name == "axes2d" else ZoneGeometry(_surd_set(), zp2)
+    pts = _boundary_points(geom)
+    assert len(pts) >= 80
+    dims = set()
+    for xi in pts:
+        want = _reference_label(geom, xi)
+        assert geom.subspaces.index(geom.classify_point(xi).subspace) == want
+        assert geom.in_xi(geom.subspaces[want], xi)
+        dims.add(geom.subspaces[want].dimension)
+        if name == "surd2" and np.linalg.norm(xi) < 100.0:
+            continue  # the surd set's steps are dense near the origin
+        cls = geom.congruence_class(xi)
+        assert geom.subspaces.index(cls.subspace) == want
+        assert [tuple(p) for p in cls.points] == _reference_class(geom, xi)
+    assert dims == {0, 1, 2}
+
+
+def test_non_finite_point_raises_without_warning(axes_geom, geom1):
+    for geom, bad in ((axes_geom, (math.nan, 1.0)), (axes_geom, (math.inf, -math.inf)),
+                      (geom1, (math.inf,))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for query in (geom.classify_point, geom.congruence_class,
+                          lambda xi: geom.in_xi(geom.subspaces[0], xi),
+                          lambda xi: geom.in_xi1(geom.subspaces[-1], xi)):
+                with pytest.raises(ValueError, match="finite"):
+                    query(np.array(bad))
 
 
 # -- golden labels and classes: every label, class point and class subspace -----

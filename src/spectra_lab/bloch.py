@@ -83,6 +83,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional
 
 import numpy as np
@@ -181,54 +182,39 @@ def _paired_grid(Nk: int, d: int):
     return half, wts
 
 
-# -- free-potential fast paths (exact grid-point counting) ---------------------
+# -- free-potential fast path (exact grid-point counting) ----------------------
 
 
-def free_lds_d1(lams: np.ndarray, Nk: int) -> np.ndarray:
-    """Plain-midpoint N(lambda; x) for b=0, d=1, by exact integer counting;
-    no state lies below 0."""
+def _parity_points(B: int, d: int, par: int) -> int:
+    """#{a in Z^d : every a_i = par mod 2, |a|^2 <= B} for d = 1, 2, exactly."""
+    if B < 0:
+        return 0
+    s = math.isqrt(B)
+    if d == 2:  # row by row: each row's isqrt from the float one, corrected
+        a2 = np.arange(-s, s + 1, dtype=np.int64)
+        R = B - a2[(a2 - par) % 2 == 0] ** 2
+        s = np.floor(np.sqrt(R)).astype(np.int64)
+        s -= s * s > R
+        s += (s + 1) * (s + 1) <= R
+    # the integers of parity par in [-s, s], summed over the rows
+    return int(np.sum(2 * ((s + par) // 2) + 1 - par))
+
+
+def free_lds(lams: np.ndarray, Nk: int, d: int) -> np.ndarray:
+    """Plain-midpoint N(lambda; x) for b = 0 in d = 1, 2, counted exactly.
+    In units of 1/(2 Nk) the points k + m of the midpoint grid are the odd
+    integers (even Nk) or the even integers (odd Nk), so |k + m|^2 <= lambda
+    is |a|^2 <= T with T = 4 lambda Nk^2, the float lambda taken as the exact
+    Fraction it is.  The <= and < conventions are averaged as the midpoint
+    does: |a|^2 <= floor(T) and |a|^2 <= ceil(T) - 1.  No state lies below 0."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    ks = _midpoint_grid(Nk)
-    out = np.zeros(lams.shape)
-    for i, lam in enumerate(lams):
-        if lam < 0:
-            continue
-        r = math.sqrt(lam)
-        # m in [-r - k, r - k]; average the <= and < conventions
-        lo = np.ceil(-r - ks)
-        hi = np.floor(r - ks)
-        cnt = hi - lo + 1.0
-        cnt_strict = np.floor(np.nextafter(r, 0.0) - ks) - np.ceil(np.nextafter(-r, 0.0) - ks) + 1.0
-        if r == 0:  # no |k + m| < 0; cnt_strict counted an odd grid's k + m = 0
-            cnt_strict[:] = 0.0
-        out[i] = 0.5 * (cnt.sum() + cnt_strict.sum()) / Nk / (2 * math.pi)
-    return out
-
-
-def free_lds_d2(lams: np.ndarray, Nk: int) -> np.ndarray:
-    """Plain-midpoint N(lambda; x) for b=0, d=2: counts the points k + m of
-    the midpoint grid in the disk |xi|^2 <= lambda, row by row, averaging the
-    <= and < conventions as the midpoint does.  In units of 1/(2 Nk) those
-    points are the odd integers (even Nk) or the even integers (odd Nk), so
-    the count is exact integer arithmetic against T = 4 lambda Nk^2."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    par = 1 if Nk % 2 == 0 else 0
+    par = 1 - Nk % 2
     out = np.empty(lams.shape)
     for i, lam in enumerate(lams):
-        T = 4.0 * lam * Nk * Nk
-        total = 0
-        # a1^2 + a2^2 <= B, once with B = floor(T) and once with B < T
-        for B in (math.floor(T), math.ceil(T) - 1):
-            amax = math.isqrt(B) if B >= 0 else -1
-            a2 = np.arange(-amax, amax + 1, dtype=np.int64)
-            a2 = a2[(a2 - par) % 2 == 0]
-            R = B - a2 * a2
-            s = np.floor(np.sqrt(R)).astype(np.int64)
-            s -= s * s > R
-            s += (s + 1) * (s + 1) <= R
-            # integers of parity par in [-s, s]
-            total += int((2 * ((s + par) // 2) + 1 - par).sum())
-        out[i] = 0.5 * total / (Nk * Nk) / (2 * math.pi) ** 2
+        T = 4 * Fraction(float(lam)) * Nk * Nk
+        total = sum(_parity_points(B, d, par)
+                    for B in (math.floor(T), math.ceil(T) - 1))
+        out[i] = 0.5 * total / Nk**d / (2 * math.pi) ** d
     return out
 
 
@@ -269,7 +255,7 @@ def spectral_function(lam, x, y, b, M_cut: int, Nk: int, d: int = 1):
     _check_ceiling(float(lams.max()), M_cut)
     four = lattice_fourier(b, d)
     if not four and np.array_equal(x, y):
-        vals = free_lds_d1(lams, Nk) if d == 1 else free_lds_d2(lams, Nk)
+        vals = free_lds(lams, Nk, d)
     else:
         emax = float(lams.max()) * 1.0000001 + 1.0
         # b = b_1(x_1) + ... + b_d(x_d), every d = 1 table and b = 0 included

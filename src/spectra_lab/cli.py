@@ -124,9 +124,9 @@ def cmd_heat(cfg: RunConfig) -> tuple:
                        discrepancy_report, mean_a, weyl_constant)
 
     b = TrigPotential.build(cfg.dimension, cfg.potential)
-    a1 = at_point(closed_form_a(b, 1), cfg.x)
-    a2 = at_point(closed_form_a(b, 2), cfg.x)
     disc = discrepancy_report(b, cfg.x)
+    a1 = disc["a1_closed_form"]
+    a2 = at_point(closed_form_a(b, 2), cfg.x)
     report = {
         "dimension": cfg.dimension,
         "x": list(cfg.x),
@@ -186,7 +186,7 @@ def cmd_compare(cfg: RunConfig) -> tuple:
 
 
 def cmd_validate(cfg: RunConfig) -> tuple:
-    from .bloch import free_lds_d1
+    from .bloch import free_lds
 
     checks = []
 
@@ -197,7 +197,7 @@ def cmd_validate(cfg: RunConfig) -> tuple:
 
     # free Weyl term, d=1
     lams = np.geomspace(100.0, 10000.0, 12)
-    N = free_lds_d1(lams, 4096)
+    N = free_lds(lams, 4096, 1)
     rel = float(np.max(np.abs(N / (V.weyl_constant(1) * np.sqrt(lams)) - 1.0)))
     add("free_weyl_d1", rel <= 1e-4, max_rel_err=rel)
 

@@ -11,6 +11,8 @@ Two routes: the verbatim k-sum for sigma_j, on jets z^alpha e^{i<theta, y>},
 z = x - y, read off at z = 0, and the closed forms for a_1, a_2.  They
 disagree on normalization for j >= 1 (the verbatim sigma_1 is -2b/(d+2), not
 -b); both are reported and the closed forms are what the oracle reproduces.
+closed_form_table states each closed form once, as an exact (const, table)
+pair; validation.coefficients_from_potential evaluates that pair in floats.
 """
 
 from __future__ import annotations
@@ -181,12 +183,24 @@ def unit_ball_volume(d: int) -> sp.Expr:
 
 
 def weyl_constant(d: int) -> sp.Expr:
-    return unit_ball_volume(d) / (2 * sp.pi) ** d
+    """C_d = unit_ball_volume(d) / (2 pi)^d = 1 / ((4 pi)^{d/2} Gamma(d/2 + 1)):
+    1 / (m! (4 pi)^m) for d = 2m and 1 / (2^m (2m+1)!! pi^(m+1)) for
+    d = 2m + 1.  One power of pi and no Gamma, so no symbolic sum: sympy's
+    first one in a process (Gamma's sqrt(pi) times pi^(1/2) sums exponents)
+    imports sympy.tensor.tensor (~40 ms)."""
+    m = d // 2
+    if d % 2 == 0:
+        return 1 / (factorial(m) * 4**m * sp.pi**m)
+    return 1 / (2**m * prod(range(1, d + 1, 2)) * sp.pi**(m + 1))
 
 
-def _closed(b: TrigPotential, j: int):
-    """(const, table) with a_1 = -(d/2) C_d b and
-    a_2 = (d (d-2)/24) C_d (3 b^2 - Delta b), C_d = weyl_constant(d)."""
+def closed_form_table(b: TrigPotential, j: int):
+    """(const, table) with a_j = const * sum_theta c_theta e^{i<theta, x>}
+    over the table {theta: c_theta}: a_1 = -(d/2) C_d b and
+    a_2 = (d (d-2)/24) C_d (3 b^2 - Delta b), C_d = weyl_constant(d).  The
+    one statement of a_j: closed_form_a, mean_a and
+    validation.coefficients_from_potential read it.  ValueError for j
+    outside {1, 2}."""
     d = b.dimension
     if j == 1:
         return -sp.Rational(d, 2) * weyl_constant(d), b.fourier
@@ -200,7 +214,7 @@ def _closed(b: TrigPotential, j: int):
 
 def closed_form_a(b: TrigPotential, j: int) -> sp.Expr:
     """The closed form of a_j, j in {1, 2}, over x_vars(d); exact."""
-    return _expr(*_closed(b, j), x_vars(b.dimension))
+    return _expr(*closed_form_table(b, j), x_vars(b.dimension))
 
 
 def at_point(expr: sp.Expr, x: Sequence) -> sp.Expr:
@@ -211,7 +225,7 @@ def at_point(expr: sp.Expr, x: Sequence) -> sp.Expr:
 
 def mean_a(b: TrigPotential, j: int) -> sp.Expr:
     """M_x a_j(x), exact: the zero-frequency entry of a_j's table."""
-    const, table = _closed(b, j)
+    const, table = closed_form_table(b, j)
     return const * QQ_I.to_sympy(table.get((0,) * b.dimension, QQ_I.zero))
 
 
@@ -220,7 +234,7 @@ def discrepancy_report(b: TrigPotential, x: Sequence) -> dict:
     2/(d+2), exact as the quotient of the two tables: H 1 = b and
     H^2 |z|^2 = -4d b at z = 0 make the verbatim sigma_1 a multiple of b."""
     d = b.dimension
-    (kv, v), (kc, c) = _sigma_a(b, 1), _closed(b, 1)
+    (kv, v), (kc, c) = _sigma_a(b, 1), closed_form_table(b, 1)
     verbatim = at_point(_expr(kv, v, x_vars(d)), x)
     closed = at_point(_expr(kc, c, x_vars(d)), x)
     ratio = None if closed == 0 else kv / kc * QQ_I.to_sympy(  # c is nonzero

@@ -1,5 +1,6 @@
-"""Numerical validation layer: expansion evaluation against the oracle,
-residual ladders with sign-robust slope fits, the off-diagonal free-operator
+"""Numerical validation layer: expansion evaluation against the oracle (the
+a_j evaluated in floats from heat.closed_form_table's exact tables), residual
+ladders with sign-robust slope fits, the off-diagonal free-operator
 formula, spectral projection perturbation bounds, and the contour identity
 for monotone quadratic matrix families.
 """
@@ -34,40 +35,38 @@ class ExpansionCoefficients:
     a_funcs: tuple
 
     def values(self, x) -> tuple:
-        return tuple(float(f(x)) for f in self.a_funcs)
+        """(a_1(x), ..., a_L(x)); ValueError unless x holds `dimension` finite
+        coordinates, also when there is no a_j to evaluate."""
+        pt = np.atleast_1d(np.asarray(x, dtype=float))
+        if pt.shape != (self.dimension,) or not np.isfinite(pt).all():
+            raise ValueError("x needs %d finite coordinates, got %r"
+                             % (self.dimension, x))
+        return tuple(float(f(pt)) for f in self.a_funcs)
+
+
+def _wave_sum(const: float, thetas: np.ndarray, coefs: np.ndarray, x) -> float:
+    """const * Re sum_theta c_theta e^{i<theta, x>}."""
+    return const * (coefs * np.exp(1j * (thetas @ x))).sum().real
 
 
 def coefficients_from_potential(b, L: int) -> ExpansionCoefficients:
-    """a_1 = c_1 b and a_2 = c_2 (3 b^2 - Delta b) of a trigonometric potential
-    b (a heat.TrigPotential, real since frequency.fourier_table read it),
-    evaluated in numpy from its Fourier table, with c_1 = -(d/2) C_d and
-    c_2 = d (d - 2)/24 C_d, C_d = weyl_constant(d).  heat.closed_form_a is
-    the exact form of both.  Raises ValueError for L > 2."""
-    if L > 2:
-        raise ValueError("closed forms available for L <= 2")
+    """a_j, j = 1..L, of a trigonometric potential b (a heat.TrigPotential,
+    real since frequency.fourier_table read it): each exact (const, table) of
+    heat.closed_form_table evaluated in numpy as
+    float(const) * Re sum_theta c_theta e^{i<theta, x>}.  heat raises the
+    ValueError for a j it has no closed form for."""
+    # lazy: heat loads sympy, which validate, bloch and gauge do not need
+    from .heat import closed_form_table
+
     d = b.dimension
-    thetas = np.array(list(b.fourier) or np.empty((0, d)), dtype=float)
-    coefs = np.array([complex(float(c.x), float(c.y))
-                      for c in b.fourier.values()], dtype=complex)
-    sq = (thetas ** 2).sum(axis=1)
-    c1 = -d / 2.0 * weyl_constant(d)
-    c2 = d * (d - 2) / 24.0 * weyl_constant(d)
-
-    def waves(x):
-        pt = np.atleast_1d(np.asarray(x, dtype=float))
-        if pt.size != d:
-            raise ValueError("point has wrong dimension")
-        return coefs * np.exp(1j * (thetas @ pt))
-
-    def a1(x):
-        return c1 * waves(x).sum().real
-
-    def a2(x):
-        w = waves(x)
-        # Delta e^{i<theta, x>} = -|theta|^2 e^{i<theta, x>}
-        return c2 * (3.0 * w.sum().real ** 2 + (sq * w).sum().real)
-
-    return ExpansionCoefficients(d, (a1, a2)[:max(L, 0)])
+    funcs = []
+    for j in range(1, L + 1):
+        const, table = closed_form_table(b, j)
+        thetas = np.array(list(table) or np.empty((0, d)), dtype=float)
+        coefs = np.array([complex(float(c.x), float(c.y))
+                          for c in table.values()], dtype=complex)
+        funcs.append(functools.partial(_wave_sum, float(const), thetas, coefs))
+    return ExpansionCoefficients(d, tuple(funcs))
 
 
 def expansion_eval(coeffs: ExpansionCoefficients, lam, x,

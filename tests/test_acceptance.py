@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from spectra_lab.bloch import BlochOracle1D, free_lds_d1, free_lds_d2
+from spectra_lab.bloch import BlochOracle1D, free_lds
 from spectra_lab.frequency import FrequencySet, GeneratorBasis, algebraic_sum, freq
 from spectra_lab.gauge import CutoffFamily, cutoff_eval, run_gauge, verify_b3
 from spectra_lab.heat import (TrigPotential, at_point, closed_form_a,
@@ -83,10 +83,10 @@ def gauge_2d(basis):
 
 def test_criterion_01_free_weyl_term():
     lams1 = np.geomspace(1e2, 1e4, 12)
-    N1 = free_lds_d1(lams1, 4096)
+    N1 = free_lds(lams1, 4096, 1)
     assert np.max(np.abs(N1 / (np.sqrt(lams1) / math.pi) - 1)) <= 1e-4
     lams2 = np.geomspace(10.0, 200.0, 8)
-    N2 = free_lds_d2(lams2, 512)
+    N2 = free_lds(lams2, 512, 2)
     assert np.max(np.abs(N2 / (lams2 / (4 * math.pi)) - 1)) <= 1e-4
 
 

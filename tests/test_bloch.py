@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from spectra_lab.bloch import (_WINDOW_EPS, BlochOracle1D, _banded_rep,
                                _eig_banded_k, _fermi_sums, _support_windows,
                                _wave_amp, _window_amp, build_fiber,
-                               free_lds_d1, free_lds_d2, lattice_fourier,
+                               free_lds, lattice_fourier,
                                spectral_function)
 from spectra_lab.errors import (NonHermitianPotential, NonLatticeFrequencies,
                                 TruncationCeiling, UnsupportedGenerators)
@@ -142,20 +142,50 @@ def test_free_on_diagonal_d2():
 
 def test_free_fast_paths():
     lams = np.geomspace(100.0, 10000.0, 10)
-    N1 = free_lds_d1(lams, 4096)
+    N1 = free_lds(lams, 4096, 1)
     assert np.max(np.abs(N1 / (np.sqrt(lams) / math.pi) - 1)) < 1e-4
     lams2 = np.geomspace(10.0, 200.0, 8)
-    N2 = free_lds_d2(lams2, 512)
+    N2 = free_lds(lams2, 512, 2)
     assert np.max(np.abs(N2 / (lams2 / (4 * math.pi)) - 1)) < 1e-4
     # no state lies below 0; at lambda = 0 only an odd grid's k = 0, m = 0
     # sits on the cut, counted by <= and not by <, so it weighs 1/2
     for Nk in (16, 17):
         at0 = 0.5 * (Nk % 2)
         assert spectral_function(-1.0, 0.0, 0.0, {}, 8, Nk) == 0.0
-        assert free_lds_d1([-1.0, 0.0], Nk).tolist() == [0.0, at0 / Nk / (2 * math.pi)]
+        assert free_lds([-1.0, 0.0], Nk, 1).tolist() == [0.0, at0 / Nk / (2 * math.pi)]
         assert spectral_function(-1.0, np.zeros(2), np.zeros(2), {}, 8, Nk, d=2) == 0.0
-        assert free_lds_d2([-1.0, 0.0], Nk).tolist() == [
+        assert free_lds([-1.0, 0.0], Nk, 2).tolist() == [
             0.0, at0 / Nk**2 / (2 * math.pi) ** 2]
+
+
+def _brute_free_count(lam, Nk, d):
+    """The midpoint count of b = 0 by Fractions: the grid points k + m with
+    |k + m|^2 <= lam and with |k + m|^2 < lam, averaged."""
+    lam = Fraction(lam)
+    ks = [Fraction(2 * i + 1 - Nk, 2 * Nk) for i in range(Nk)]
+    M = math.isqrt(math.ceil(lam)) + 2
+    le = lt = 0
+    for xi in itertools.product([k + m for k in ks for m in range(-M, M + 1)],
+                                repeat=d):
+        r2 = sum(v * v for v in xi)
+        le += r2 <= lam
+        lt += r2 < lam
+    return 0.5 * (le + lt) / Nk**d / (2 * math.pi) ** d
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("Nk", range(1, 9))
+def test_free_count_exact_at_ties(Nk, d):
+    """At the float of a tie |k + m|^2 of the grid the free count is the
+    Fraction count of that float.  A float sqrt (d = 1) or a float
+    4 lambda Nk^2 (d = 2) puts such a point on the wrong side, as at Nk = 3."""
+    ties = sorted({float(Fraction(sum(a * a for a in t), 4 * Nk * Nk))
+                   for t in itertools.product(range(-5, 6), repeat=d)
+                   if all((a - 1 + Nk % 2) % 2 == 0 for a in t)})
+    got = free_lds(ties, Nk, d)
+    assert got.tolist() == [_brute_free_count(lam, Nk, d) for lam in ties]
+    assert spectral_function(ties, np.zeros(d), np.zeros(d), {}, 8, Nk,
+                             d=d).tolist() == got.tolist()
 
 
 def test_truncation_ceiling():

@@ -141,6 +141,9 @@ def test_discrepancy_ratio():
 def test_weyl_constant_values():
     assert sp.simplify(weyl_constant(1) - 1 / sp.pi) == 0
     assert sp.simplify(weyl_constant(2) - 1 / (4 * sp.pi)) == 0
+    for d in range(1, 8):
+        want = unit_ball_volume(d) / (2 * sp.pi) ** d
+        assert sp.simplify(weyl_constant(d) - want) == 0, d
 
 
 def _strings(node):

@@ -175,6 +175,41 @@ assert not loaded, loaded
 """)
 
 
+@pytest.mark.parametrize("command", ["validate", "bloch", "gauge"])
+def test_cli_commands_import_no_sympy(command, tmp_path):
+    """validate, bloch and gauge on every shipped config load no sympy*
+    module: validation takes heat's closed forms by a lazy import, so a
+    module-level one would fail here."""
+    _run_fresh("""
+import os, sys
+from spectra_lab import cli
+for name in sorted(os.listdir("configs")):
+    out = os.path.join(%r, name)
+    assert cli.main([%r, "--config", os.path.join("configs", name),
+                     "--seed", "11", "--out", out]) == 0, name
+loaded = sorted(m for m in sys.modules if m.startswith("sympy"))
+assert not loaded, loaded
+""" % (str(tmp_path), command))
+
+
+def test_coefficients_load_no_sympy_tensor():
+    """a_1, a_2 from heat's tables in d = 1, 2, 3 form no symbolic sum: the
+    first one in a process imports sympy.tensor.tensor and
+    sympy.combinatorics, ~40 ms of a cold oracle ladder."""
+    _run_fresh("""
+import sys
+from spectra_lab.heat import TrigPotential
+from spectra_lab.validation import coefficients_from_potential
+for d in (1, 2, 3):
+    e = tuple(int(i == 0) for i in range(d))
+    b = TrigPotential.build(d, {e: 0.2, tuple(-t for t in e): 0.2})
+    coefficients_from_potential(b, 2).values([0.3] * d)
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("sympy.tensor.tensor", "sympy.combinatorics")))
+assert not loaded, loaded
+""")
+
+
 def _run_fresh(code):
     """Run code in a new interpreter on this checkout's src; it must exit 0."""
     src = os.path.join(REPO, "src")

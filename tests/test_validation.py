@@ -29,7 +29,25 @@ def test_expansion_weyl_term():
                        weyl_constant(1) * np.sqrt(lam), atol=0)
     c2 = ExpansionCoefficients(2, (lambda x: -0.5,))
     # L = 0 is the Weyl term regardless of available coefficients
-    assert expansion_eval(c2, 100.0, 0.0, L=0) == weyl_constant(2) * 100.0
+    assert expansion_eval(c2, 100.0, [0.0, 0.0], L=0) == weyl_constant(2) * 100.0
+
+
+@pytest.mark.parametrize("x", [[0.0, 1.0], [math.nan], [-math.inf], [],
+                               [[0.0]]])
+def test_expansion_rejects_bad_point(x):
+    """x must hold d finite coordinates at every L: the Weyl term (L = 0,
+    no a_j to evaluate) and a_1, a_2 raise alike."""
+    from spectra_lab.heat import TrigPotential
+
+    with pytest.raises(ValueError, match="1 finite coordinates"):
+        expansion_eval(ExpansionCoefficients(1, ()), 100.0, x, L=0)
+    coeffs = coefficients_from_potential(
+        TrigPotential.build(1, {(1,): 1, (-1,): 1}), 2)
+    for L in range(3):
+        with pytest.raises(ValueError, match="1 finite coordinates"):
+            expansion_eval(coeffs, 100.0, x, L=L)
+    with pytest.raises(ValueError, match="2 finite coordinates"):
+        expansion_eval(ExpansionCoefficients(2, ()), 100.0, 0.0, L=0)
 
 
 def test_expansion_with_a1():
